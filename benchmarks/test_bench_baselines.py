@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from repro.adversary.oblivious import UniformRandomSchedule
 from repro.baselines.aloha import SlottedAlohaKnownK
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
+from repro.engine import execute
 from repro.experiments.baselines_exp import run_baseline_compare
 
 from benchmarks.conftest import save_report
@@ -32,12 +33,26 @@ def aloha_vs_ladder_ratio(k: int, seed: int) -> float:
     adversary = UniformRandomSchedule(span=lambda kk: 2 * kk)
     ratios = []
     for r in range(3):
-        aloha = VectorizedSimulator(
-            k, SlottedAlohaKnownK(k), adversary, max_rounds=600 * k, seed=seed + r
-        ).run()
-        ladder = VectorizedSimulator(
-            k, NonAdaptiveWithK(k, 6), adversary, max_rounds=30 * k, seed=seed + r
-        ).run()
+        aloha = execute(
+            RunSpec(
+                k=k,
+                protocol=SlottedAlohaKnownK(k),
+                adversary=adversary,
+                max_rounds=600 * k,
+                seed=seed + r,
+            ),
+            engine="vectorized",
+        )
+        ladder = execute(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(k, 6),
+                adversary=adversary,
+                max_rounds=30 * k,
+                seed=seed + r,
+            ),
+            engine="vectorized",
+        )
         assert aloha.completed and ladder.completed
         ratios.append(aloha.max_latency / ladder.max_latency)
     return sum(ratios) / len(ratios)

@@ -2,11 +2,12 @@
 
 Not a paper artefact — infrastructure health, and the anchor of the perf
 trajectory (``scripts/bench_trajectory.py`` turns these medians into
-``BENCH_engines.json``).  The batched kernel's reason to exist is a large
-multiple over running the vectorised engine once per repetition; both
-sides below execute the *same* repetitions of the same configuration
+``BENCH_engines.json``).  The per-run loop runs the same kernel once per
+repetition (``execute(..., engine="vectorized")`` is the kernel at R=1);
+both sides below execute the *same* repetitions of the same configuration
 (identical seeds, byte-identical results — see ``tests/test_batched.py``),
-so the ratio of their medians is the batching speedup and nothing else.
+so the ratio of their medians (``fusion_speedup``) is what fusing R
+repetitions into one call buys and nothing else.
 
 ``REPRO_BENCH_REPS`` scales the repetition count (default 1000 — the
 ISSUE's acceptance configuration; CI uses a smaller value).
@@ -54,7 +55,7 @@ def test_bench_batched_kernel(benchmark):
     assert sum(r.completed for r in results) > REPS // 4
 
 
-def test_bench_per_run_vectorized_loop(benchmark):
+def test_bench_per_run_loop(benchmark):
     results = benchmark(run_per_run_loop)
     assert len(results) == REPS
     assert sum(r.completed for r in results) > REPS // 4

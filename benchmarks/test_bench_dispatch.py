@@ -2,9 +2,10 @@
 
 Not a paper artefact — infrastructure health.  Two claims to keep honest:
 
-* ``execute(RunSpec(...))`` must cost essentially the same as building
-  the chosen engine by hand — dispatch is a table lookup plus a cached
-  table fetch, not a new simulation layer;
+* ``execute(RunSpec(...))`` must cost essentially the same as calling
+  the chosen kernel by hand (``run_batch`` on the one seed) — dispatch is
+  an admissibility check plus a cached table fetch, not a new simulation
+  layer;
 * the probability-table cache must make repeated constructions of one
   configuration (the shape of every experiment sweep) markedly cheaper
   than recomputing the table per run.
@@ -13,7 +14,7 @@ Not a paper artefact — infrastructure health.  Two claims to keep honest:
 from __future__ import annotations
 
 from repro.adversary.oblivious import UniformRandomSchedule
-from repro.channel.vectorized import VectorizedSimulator
+from repro.channel.batched import run_batch
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.spec import RunSpec
 from repro.engine import clear_table_cache, execute, probability_table
@@ -34,9 +35,7 @@ def make_spec(seed=0):
 
 
 def run_direct(seed=0):
-    return VectorizedSimulator(
-        K, NonAdaptiveWithK(K, 6), ADVERSARY, max_rounds=HORIZON, seed=seed
-    ).run()
+    return run_batch(make_spec(), seeds=[seed])[0]
 
 
 def run_dispatched(seed=0):

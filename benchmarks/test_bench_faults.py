@@ -10,7 +10,7 @@ ways as the telemetry-overhead benchmark:
 
 * paired pytest-benchmark cases — the clean kernel, the faulted kernel
   (noise + ack loss lowered to outcome rewrites) and the faulted per-run
-  vectorised loop — so the trajectory records the absolute cost of the
+  loop (the same kernel once per seed) — so the trajectory records the absolute cost of the
   fault path itself (``fault_overhead``) and the batching win it keeps
   (``fault_path_speedup``);
 * a direct bound proof: measure the per-call cost of the ``faults``

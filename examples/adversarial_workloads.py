@@ -20,16 +20,17 @@ from repro import (
     BurstOnQuietAdversary,
     NonAdaptiveWithK,
     PoissonSchedule,
+    RunSpec,
     SlotSimulator,
     StaggeredSchedule,
     StaticSchedule,
     SublinearDecrease,
     TwoWavesSchedule,
     UniformRandomSchedule,
-    VectorizedSimulator,
     WakeOnSuccessAdversary,
     blocked_prefix_length,
     build_jk_instance,
+    execute,
 )
 from repro.adversary.lower_bound import default_tau_small
 from repro.core.protocol import ScheduleProtocol
@@ -40,9 +41,16 @@ SEED = 11
 
 
 def run_oblivious(adversary):
-    return VectorizedSimulator(
-        K, NonAdaptiveWithK(K, 6), adversary, max_rounds=40 * K, seed=SEED
-    ).run()
+    return execute(
+        RunSpec(
+            k=K,
+            protocol=NonAdaptiveWithK(K, 6),
+            adversary=adversary,
+            max_rounds=40 * K,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    )
 
 
 def run_adaptive(adversary):
@@ -101,18 +109,32 @@ def main() -> None:
         tau_small=min(default_tau_small(schedule, K), 4 * K),
         seed=SEED,
     )
-    blocked = VectorizedSimulator(
-        K, schedule, instance, max_rounds=prefix, seed=SEED
-    ).run()
+    blocked = execute(
+        RunSpec(
+            k=K,
+            protocol=schedule,
+            adversary=instance,
+            max_rounds=prefix,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    )
     print(
         f"  blocked prefix = {prefix} rounds; successes inside it: "
         f"{blocked.success_count} (the pump of Lemma 4.6 silences the channel)"
     )
 
     # The same protocol under a gentle trickle delivers steadily.
-    trickle = VectorizedSimulator(
-        K, schedule, StaggeredSchedule(gap=6), max_rounds=prefix, seed=SEED
-    ).run()
+    trickle = execute(
+        RunSpec(
+            k=K,
+            protocol=schedule,
+            adversary=StaggeredSchedule(gap=6),
+            max_rounds=prefix,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    )
     print(
         f"  same prefix under a benign trickle: {trickle.success_count} "
         f"successes"

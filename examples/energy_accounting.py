@@ -19,10 +19,11 @@ import math
 from repro import (
     AdaptiveNoK,
     NonAdaptiveWithK,
+    RunSpec,
     SlotSimulator,
     SublinearDecrease,
     UniformRandomSchedule,
-    VectorizedSimulator,
+    execute,
 )
 from repro.util.ascii_chart import render_table
 
@@ -37,14 +38,26 @@ def energy_per_station(result) -> float:
 def main() -> None:
     rows = []
     for k in (64, 128, 256, 512):
-        ladder = VectorizedSimulator(
-            k, NonAdaptiveWithK(k, 6), ADVERSARY, max_rounds=30 * k, seed=SEED
-        ).run()
-        code = VectorizedSimulator(
-            k, SublinearDecrease(4), ADVERSARY,
-            max_rounds=SublinearDecrease.latency_bound_with_ack(k, 4) + 4 * k,
-            seed=SEED,
-        ).run()
+        ladder = execute(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(k, 6),
+                adversary=ADVERSARY,
+                max_rounds=30 * k,
+                seed=SEED,
+            ),
+            engine="vectorized",
+        )
+        code = execute(
+            RunSpec(
+                k=k,
+                protocol=SublinearDecrease(4),
+                adversary=ADVERSARY,
+                max_rounds=SublinearDecrease.latency_bound_with_ack(k, 4) + 4 * k,
+                seed=SEED,
+            ),
+            engine="vectorized",
+        )
         adaptive = SlotSimulator(
             k, lambda: AdaptiveNoK(), ADVERSARY, max_rounds=120 * k, seed=SEED
         ).run()
@@ -88,10 +101,16 @@ def main() -> None:
         failures = 0
         energies = []
         for seed in range(8):
-            result = VectorizedSimulator(
-                256, NonAdaptiveWithK(256, c), ADVERSARY,
-                max_rounds=4 * c * 256 + 2048, seed=seed,
-            ).run()
+            result = execute(
+                RunSpec(
+                    k=256,
+                    protocol=NonAdaptiveWithK(256, c),
+                    adversary=ADVERSARY,
+                    max_rounds=4 * c * 256 + 2048,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
             if not result.completed:
                 failures += 1
             else:

@@ -25,11 +25,12 @@ import math
 import numpy as np
 
 from repro import (
+    RunSpec,
     StaggeredSchedule,
     SublinearDecrease,
-    VectorizedSimulator,
     blocked_prefix_length,
     build_jk_instance,
+    execute,
 )
 from repro.adversary.lower_bound import default_tau_small, pump_rate
 from repro.analysis.sigma import sigma_hat_trace, success_probability_bound
@@ -77,14 +78,28 @@ def main() -> None:
         f"{worst:.2e}"
     )
 
-    blocked = VectorizedSimulator(
-        K, schedule, instance, max_rounds=prefix, seed=SEED
-    ).run()
+    blocked = execute(
+        RunSpec(
+            k=K,
+            protocol=schedule,
+            adversary=instance,
+            max_rounds=prefix,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    )
     print(f"successes inside the prefix under J(k): {blocked.success_count}")
 
-    benign = VectorizedSimulator(
-        K, schedule, StaggeredSchedule(gap=6), max_rounds=prefix, seed=SEED
-    ).run()
+    benign = execute(
+        RunSpec(
+            k=K,
+            protocol=schedule,
+            adversary=StaggeredSchedule(gap=6),
+            max_rounds=prefix,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    )
     print(f"successes under a benign trickle over the same prefix: "
           f"{benign.success_count}")
     print(

@@ -14,10 +14,11 @@ from repro import (
     AdaptiveNoK,
     FeedbackModel,
     NonAdaptiveWithK,
+    RunSpec,
     SlotSimulator,
     SublinearDecrease,
     UniformRandomSchedule,
-    VectorizedSimulator,
+    execute,
 )
 from repro.analysis.scaling import best_model
 from repro.baselines import (
@@ -33,17 +34,36 @@ ADVERSARY = UniformRandomSchedule(span=lambda k: 2 * k)
 
 def measure(k: int) -> dict[str, float]:
     out = {}
-    out["NonAdaptiveWithK"] = VectorizedSimulator(
-        k, NonAdaptiveWithK(k, 6), ADVERSARY, max_rounds=30 * k, seed=SEED
-    ).run().max_latency
-    out["SublinearDecrease"] = VectorizedSimulator(
-        k, SublinearDecrease(4), ADVERSARY,
-        max_rounds=SublinearDecrease.latency_bound_with_ack(k, 4) + 4 * k,
-        seed=SEED,
-    ).run().max_latency
-    out["Aloha(1/k)"] = VectorizedSimulator(
-        k, SlottedAlohaKnownK(k), ADVERSARY, max_rounds=600 * k, seed=SEED
-    ).run().max_latency
+    out["NonAdaptiveWithK"] = execute(
+        RunSpec(
+            k=k,
+            protocol=NonAdaptiveWithK(k, 6),
+            adversary=ADVERSARY,
+            max_rounds=30 * k,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    ).max_latency
+    out["SublinearDecrease"] = execute(
+        RunSpec(
+            k=k,
+            protocol=SublinearDecrease(4),
+            adversary=ADVERSARY,
+            max_rounds=SublinearDecrease.latency_bound_with_ack(k, 4) + 4 * k,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    ).max_latency
+    out["Aloha(1/k)"] = execute(
+        RunSpec(
+            k=k,
+            protocol=SlottedAlohaKnownK(k),
+            adversary=ADVERSARY,
+            max_rounds=600 * k,
+            seed=SEED,
+        ),
+        engine="vectorized",
+    ).max_latency
     out["AdaptiveNoK"] = SlotSimulator(
         k, lambda: AdaptiveNoK(), ADVERSARY, max_rounds=120 * k, seed=SEED
     ).run().max_latency

@@ -13,12 +13,13 @@ if ! python3 -m pip install -e . --quiet 2>/dev/null; then
 fi
 
 echo "== engine-dispatch lint =="
-# Experiment drivers must go through execute(RunSpec(...)) — constructing
-# an engine directly bypasses dispatch, the table cache and the
-# checkpoint fingerprint derivation.
-if grep -rnE "(SlotSimulator|VectorizedSimulator)\(" src/repro/experiments/; then
+# Experiment drivers must go through execute(RunSpec(...)) or
+# execute_batch — constructing an engine or calling a fused kernel
+# directly bypasses dispatch, the fallback rules and the checkpoint
+# fingerprint derivation.
+if grep -rnE "(SlotSimulator|run_batch|run_compiled_batch)\(" src/repro/experiments/; then
     echo "error: direct engine construction under src/repro/experiments/;"
-    echo "build a RunSpec and call repro.engine.execute instead."
+    echo "build a RunSpec and call repro.engine.execute / execute_batch instead."
     exit 1
 fi
 

@@ -18,7 +18,8 @@ Quick start::
     print(result.max_latency, result.total_transmissions)
 
 ``execute`` routes the spec to the right engine automatically (here the
-vectorised sampler); the engine classes remain importable for direct use.
+batched schedule kernel, the ``"vectorized"`` engine); the round-loop
+engine classes remain importable for direct use.
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 table/figure reproductions indexed in DESIGN.md.
@@ -50,7 +51,6 @@ from repro.channel import (
     RunResult,
     SlotSimulator,
     StopCondition,
-    VectorizedSimulator,
 )
 from repro.core import (
     ProbabilitySchedule,
@@ -98,7 +98,6 @@ __all__ = [
     "RunResult",
     "SlotSimulator",
     "StopCondition",
-    "VectorizedSimulator",
     # core
     "ProbabilitySchedule",
     "Protocol",

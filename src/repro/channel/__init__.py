@@ -1,4 +1,4 @@
-"""The shared-channel substrate: events, feedback, and the two engines."""
+"""The shared-channel substrate: events, feedback, and the engines."""
 
 from repro.channel.events import RoundEvent, RoundOutcome
 from repro.channel.feedback import FeedbackModel, Observation
@@ -30,8 +30,8 @@ from repro.channel.traffic import (
     draw_packets,
     traffic_reduction,
 )
+from repro.channel.batched import hazard_table
 from repro.channel.validate import InvariantViolation, validate_run
-from repro.channel.vectorized import VectorizedSimulator, hazard_table
 
 __all__ = [
     "Jammer",
@@ -58,7 +58,6 @@ __all__ = [
     "StopCondition",
     "SlotSimulator",
     "default_max_rounds",
-    "VectorizedSimulator",
     "hazard_table",
     "ArrivalWakeSchedule",
     "QueueSimulator",

@@ -1,68 +1,53 @@
-"""Batched vectorised engine: R repetitions in one set of numpy passes.
+"""The schedule kernel: R repetitions of a probability schedule in numpy passes.
 
-Every experiment in this repository is a Monte Carlo estimate —
-``repeat_schedule_runs`` / ``sweep_schedule`` execute hundreds to
-thousands of statistically independent repetitions of the same
-:class:`~repro.core.spec.RunSpec`.  The single-run
-:class:`~repro.channel.vectorized.VectorizedSimulator` already samples
-each station's transmission set in one shot, but still pays per-run
-overhead: its own construction, its own hazard-table slice, and — the
-actual hot path — a pure-Python ``while`` sweep over every transmission
-event to resolve collisions.  :func:`run_batch` fuses all R repetitions
-into one ``(rep, station)`` batch:
+Non-adaptive protocols transmit in local round ``i`` with a probability
+``p(i)`` independent across rounds (Sections 3 and 4), so a station's
+behaviour is a fixed random set of transmission rounds; the channel only
+*removes* its future transmissions once it is acknowledged.
+:func:`run_batch` samples those sets directly and resolves all
+repetitions of a :class:`~repro.core.spec.RunSpec` in one ``(rep,
+station)`` batch.  It is the ``"vectorized"`` engine: a single run is the
+batch of one seed, ``run_batch(spec, seeds=[spec.seed])[0]``.
 
-1. wake schedules and Poisson transmission points are drawn per
-   repetition from that repetition's own seeded generators (the draw
-   sequence is *exactly* the sequential engine's, which is what makes the
-   results byte-identical), then concatenated into flat batch arrays;
-2. collisions are resolved for the whole batch at once with array-segment
-   reductions: events are sorted by ``(rep, global_round)``, per-round
-   attempt counts come from run-length boundaries, and singleton rounds —
-   the successes — fall out of a ``counts == 1`` mask;
-3. the acknowledgement-triggered switch-off (a success *removes the
-   winner's future events*, which can turn a later collision into a new
-   singleton) is handled by an iterative fixpoint: recompute counts only
-   for repetitions whose switch-off set changed, until nothing changes.
-   Deaths are monotone (a station's estimated switch-off round only moves
-   earlier, and never before its true one), so the fixpoint converges to
-   exactly the sequential sweep's outcome; typical schedules settle in a
-   handful of passes.
+Exactness.  Per-round Bernoulli(p_i) transmissions are distributionally
+identical to "at least one point of a unit-rate Poisson process falls in
+a step of width ``lambda_i = -ln(1 - p_i)``" (step counts are independent
+Poisson(lambda_i) and ``P(count >= 1) = p_i``).  Each station draws
+``M ~ Poisson(sum lambda_i)`` points uniform on the cumulative-hazard
+axis (:func:`hazard_table`), maps them onto rounds and deduplicates —
+exact up to the 1e-15 hazard cap for p = 1 rounds.  Schedules with
+dependent rounds override
+:meth:`~repro.core.protocol.ProbabilitySchedule.sample_rounds` instead
+(:func:`sample_station_events`).
 
-Streaming execution
--------------------
+The kernel:
 
-Millions of repetitions cannot hold the full (rep, round, station) event
-space at once, so :func:`run_batch` executes a deterministic
-:class:`~repro.engine.plan.TilePlan`: repetitions stream through in
-**rep tiles** (each tile runs the whole kernel on its own slice of the
-seed list — per-rep RNG is independent, so this is trivially exact), and
-inside a tile the ack-switch-off fixpoint can sweep the sorted event
-stream in **round windows**, carrying the ``win`` frontier from window
-to window (see :func:`_ack_fixpoint`).  Tile sizes come from the
-planner's bytes-per-(rep·round·station) cost model under
-``--memory-budget``, or explicitly via ``tile_reps`` / ``tile_rounds``;
-with no constraint the plan is the single monolithic batch, exactly the
-historical behaviour.  An allocation that would exceed memory fails fast
-as :class:`~repro.engine.plan.BatchMemoryError` naming the offending
-spec field and an admitting budget, instead of letting numpy abort.
+1. wakes and transmission points are drawn per repetition from that
+   repetition's own seeded generators — a repetition's draws never depend
+   on the batch it runs in — then concatenated into flat batch arrays;
+2. one sort orders the events by ``(rep, global_round)``; singleton
+   rounds, the successes, fall out of run-length segment counts;
+3. the ack switch-off (a success removes the winner's later events, which
+   can turn a later collision into a new singleton) is an iterative
+   fixpoint that recounts only the repetitions whose winners changed.
+   Deaths are monotone, so it converges to exactly the round-by-round
+   outcome, typically in a handful of passes.
 
-Exactness contract
-------------------
+Repetitions stream through the deterministic
+:class:`~repro.engine.plan.TilePlan` in **rep tiles** (per-rep RNG is
+independent, so this is trivially exact), and the fixpoint can sweep a
+tile in **round windows**, carrying the ``win`` frontier forward (see
+:func:`_ack_fixpoint`).  With no ``--memory-budget``/tile setting the plan
+is one monolithic batch; an allocation that fails is reported as
+:class:`~repro.engine.plan.BatchMemoryError` with an admitting budget.
 
-``run_batch(spec, seeds=[s0, ..., s(R-1)])`` returns ``RunResult``s
-byte-identical to ``[execute(spec.with_seed(s)) for s in seeds]`` on the
-vectorised engine — same wake draws, same transmission samples, same
-records, metrics, completion flags and stop rounds, **at any tile
-size**.  The property suites ``tests/test_batched.py`` and
-``tests/test_plan.py`` fuzz this equality across the cross-engine config
-space (stochastic and deterministic schedules, jamming, the no-ack
-switch-off variant, every stop condition) and across random
-tile-rep/round-window sizes.
-
-Admissibility is the vectorised engine's: non-adaptive schedule,
-oblivious wake adversary, no stateful jammer, no trace, ACK feedback.
-Route through :func:`repro.engine.dispatch.execute_batch` to get
-transparent per-run fallback for everything else.
+Exactness contract: ``run_batch(spec, seeds)`` is byte-identical to
+``[run_batch(spec, seeds=[s])[0] for s in seeds]`` at any tile size —
+fuzzed in ``tests/test_batched.py`` and ``tests/test_plan.py``, with the
+object engine as oracle in ``tests/test_engine_fuzz.py``.  Admissibility:
+non-adaptive schedule, oblivious wake adversary, no stateful jammer, no
+trace, ACK feedback, no energy budget; :func:`repro.engine.execute` /
+``execute_batch`` fall back for everything else.
 """
 
 from __future__ import annotations
@@ -75,21 +60,111 @@ import numpy as np
 from repro.adversary.base import WakeSchedule
 from repro.channel.feedback import FeedbackModel
 from repro.channel.results import RunResult, StopCondition
-from repro.channel.vectorized import check_prob_table, sample_station_events
 from repro.core.protocol import ProbabilitySchedule
 from repro.core.spec import RunSpec
 from repro.core.station import StationRecord
 from repro.telemetry import registry as telemetry
 
-__all__ = ["run_batch"]
+__all__ = [
+    "run_batch",
+    "hazard_table",
+    "check_prob_table",
+    "sample_station_events",
+]
 
 #: "Never happens" sentinel for round numbers (first success / switch-off).
 _INF = np.iinfo(np.int64).max
 
+#: Hazard assigned to probability-1 rounds (P(miss) ~ 1e-15, i.e. never).
+_MAX_HAZARD = 34.538776394910684
+
+
+def hazard_table(probabilities: np.ndarray) -> np.ndarray:
+    """Cumulative hazard ``Lambda[i] = sum_{j<=i} -ln(1 - p_j)``.
+
+    Probability-1 rounds get the capped hazard ``_MAX_HAZARD``.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    # In place: horizons reach millions of rounds, so one working array.
+    lam = np.negative(p)
+    with np.errstate(divide="ignore"):
+        np.log1p(lam, out=lam)
+    np.negative(lam, out=lam)
+    lam[~np.isfinite(lam)] = _MAX_HAZARD
+    return np.cumsum(lam, out=lam)
+
+
+def check_prob_table(
+    schedule: ProbabilitySchedule, p: np.ndarray, max_local: int
+) -> None:
+    """Spot-check a cached probability table against the live schedule.
+
+    The table cache is keyed by a schedule fingerprint; a table built from
+    a different schedule would silently poison every result, so a few
+    entries are compared against the live schedule.  Probe indices are
+    deduplicated: at ``max_local == 1`` the naive triple ``(1, max_local
+    // 2 or 1, max_local)`` would check round 1 three times and sample
+    nothing else.
+    """
+    horizon = schedule.horizon()
+    for i in sorted({1, max_local // 2 or 1, max_local}):
+        if horizon is not None and i > horizon:
+            expected = 0.0
+        else:
+            expected = min(1.0, max(0.0, schedule.probability(i)))
+        if abs(p[i - 1] - expected) > 1e-9:
+            raise ValueError(
+                f"prob_table disagrees with {schedule.name} at "
+                f"local round {i}: table {p[i - 1]!r} vs schedule "
+                f"{expected!r}"
+            )
+
+
+def sample_station_events(
+    rng: np.random.Generator,
+    schedule: ProbabilitySchedule,
+    k: int,
+    cumulative_hazard: np.ndarray,
+    max_local: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One repetition's ``(stations, local_rounds)`` events for ``k``
+    stations, station-major (switch-off ignored; the kernel's sort drops
+    duplicate samples).
+
+    Schedules with dependent rounds sample through
+    :meth:`ProbabilitySchedule.sample_rounds`, station by station; the
+    rest take the exact Poisson-thinning path.
+    """
+    probe = schedule.sample_rounds(rng, max_local)
+    if probe is not None:
+        parts = [probe] + [
+            schedule.sample_rounds(rng, max_local) for _ in range(k - 1)
+        ]
+        lengths = np.fromiter(map(len, parts), np.int64, count=k)
+        rounds = np.concatenate(parts).astype(np.int64, copy=False)
+        if rounds.size and (rounds.min() < 1 or rounds.max() > max_local):
+            raise ValueError(
+                f"{schedule.name}: sample_rounds produced local "
+                f"rounds outside [1, {max_local}]"
+            )
+        return np.repeat(np.arange(k, dtype=np.int64), lengths), rounds
+    total = float(cumulative_hazard[-1]) if cumulative_hazard.size else 0.0
+    if total <= 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    counts = rng.poisson(total, size=k)
+    flat = rng.uniform(0.0, total, size=int(counts.sum()))
+    # A point at hazard position u lands in the round whose cumulative
+    # hazard first reaches past u; +1 converts 0-based step to local
+    # round (local rounds start at 1).
+    rounds = np.searchsorted(cumulative_hazard, flat, side="right") + 1
+    return np.repeat(np.arange(k, dtype=np.int64), counts), rounds.astype(np.int64)
+
 
 def _resolve_seeds(
-    spec: RunSpec, n_reps: Optional[int], seeds: Optional[Sequence[int]]
-) -> list[int]:
+    spec: RunSpec, n_reps: Optional[int], seeds: Optional[Sequence[Optional[int]]]
+) -> list[Optional[int]]:
     if seeds is None:
         if n_reps is None:
             raise ValueError("run_batch needs n_reps or an explicit seed list")
@@ -99,7 +174,9 @@ def _resolve_seeds(
                 "set spec.seed or pass seeds explicitly"
             )
         return [spec.seed + r for r in range(n_reps)]
-    seed_list = [int(s) for s in seeds]
+    # None stays None: that repetition draws from OS entropy (and reports
+    # ``seed=None``), like an unseeded single run.
+    seed_list = [None if s is None else int(s) for s in seeds]
     if n_reps is not None and n_reps != len(seed_list):
         raise ValueError(
             f"n_reps={n_reps} disagrees with len(seeds)={len(seed_list)}"
@@ -107,20 +184,23 @@ def _resolve_seeds(
     return seed_list
 
 
-def _rep_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The sequential engine's (adversary, station) generator pair.
-
-    :class:`~repro.util.rng.RngFactory` hands these out as two successive
-    ``spawn(1)`` children of ``SeedSequence(seed)``; one ``spawn(2)`` call
-    yields the same two children (spawn keys ``(0,)`` and ``(1,)``) with
-    half the per-repetition SeedSequence overhead, keeping the streams —
-    and therefore the batch results — byte-identical.
-    """
+def _rep_generators(seed: Optional[int]) -> tuple[np.random.Generator, np.random.Generator]:
+    """One repetition's (adversary, station) generators: the first two
+    children of ``SeedSequence(seed)``, as ``RngFactory`` spawns them."""
     adversary_child, station_child = np.random.SeedSequence(seed).spawn(2)
     return (
         np.random.Generator(np.random.PCG64(adversary_child)),
         np.random.Generator(np.random.PCG64(station_child)),
     )
+
+
+def _sorted_member(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_keys)`` for an ascending ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, values)
+    np.minimum(pos, sorted_keys.size - 1, out=pos)
+    return sorted_keys[pos] == values
 
 
 def _map_points_to_rounds(full_cum: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -262,18 +342,22 @@ def _ack_fixpoint(
     # Events are sorted by repetition, so after the first whole-stream
     # pass each iteration re-counts only the changed repetitions'
     # contiguous event segments.
-    rep_bounds = np.searchsorted(rep_of, np.arange(n_reps + 1))
+    rep_bounds: Optional[np.ndarray] = None
     active_reps: Optional[np.ndarray] = None  # None = every repetition
     # Each productive pass strictly lowers at least one win estimate, and
     # every estimate is one of the event rounds, so the pass count is
     # bounded by the event count (plus the final no-change pass).
     passes = 1
     for passes in range(1, int(g.size) + 3):
-        if active_reps is None:
+        if active_reps is None or active_reps.size == n_reps:
+            # Every repetition is active (always so at R=1): sweep the
+            # arrays themselves rather than gathering index copies.
             sl_s, sl_g, sl_gk, sl_j = s, g, gk, jammed
+        elif active_reps.size == 0:
+            break
         else:
-            if active_reps.size == 0:
-                break
+            if rep_bounds is None:
+                rep_bounds = np.searchsorted(rep_of, np.arange(n_reps + 1))
             idx = np.concatenate(
                 [
                     np.arange(rep_bounds[r], rep_bounds[r + 1])
@@ -298,7 +382,7 @@ def _ack_fixpoint(
 def run_batch(
     spec: RunSpec,
     n_reps: Optional[int] = None,
-    seeds: Optional[Sequence[int]] = None,
+    seeds: Optional[Sequence[Optional[int]]] = None,
     *,
     tile_reps: Optional[int] = None,
     tile_rounds: Optional[int] = None,
@@ -311,7 +395,8 @@ def run_batch(
         n_reps: repetition count; seeds default to ``spec.seed + r``
             (the harness's repetition layout).
         seeds: explicit per-repetition seeds (overrides ``n_reps``-derived
-            ones; both may be given if consistent).
+            ones; both may be given if consistent).  A ``None`` seed draws
+            that repetition from OS entropy.
         tile_reps: repetitions per streaming tile (None = the process
             default, else derived from the memory budget, else all).
         tile_rounds: rounds per resolution window inside a tile (None =
@@ -354,14 +439,13 @@ def run_batch(
         telemetry.count("batched.reps", R)
         telemetry.observe("batched.batch_reps", R)
 
-    # One shared probability/hazard table for every tile (the PR-3 LRU);
-    # each repetition slices the prefix its own wake draw allows.
-    from repro.engine.cache import cumulative_hazard, probability_table
+    # One shared probability/hazard table pair for every tile (one cache
+    # lookup); each repetition uses the prefix its own wake draw allows.
+    from repro.engine.cache import schedule_tables
 
     max_rounds = spec.resolve_horizon()
-    full_table = probability_table(spec.schedule, max_rounds)
+    full_table, full_cum = schedule_tables(spec.schedule, max_rounds)
     check_prob_table(spec.schedule, full_table, max_rounds)
-    full_cum = cumulative_hazard(spec.schedule, max_rounds)
 
     results: list[RunResult] = []
     for lo, hi in plan.rep_slices():
@@ -384,19 +468,95 @@ def run_batch(
     return results
 
 
+def _rep_wake(
+    spec: RunSpec, seed: Optional[int]
+) -> tuple[np.ndarray, int, np.random.Generator]:
+    """One repetition's wake draw, its longest local clock within the
+    horizon, and the station generator its transmissions draw from."""
+    adversary_rng, station_rng = _rep_generators(seed)
+    wake = np.asarray(
+        spec.adversary.wake_rounds(spec.k, adversary_rng), dtype=np.int64
+    )
+    if wake.shape != (spec.k,):
+        raise ValueError("adversary produced a malformed wake schedule")
+    max_local = int(spec.resolve_horizon() - wake.min())
+    sched_horizon = spec.schedule.horizon()
+    if sched_horizon is not None:
+        max_local = min(max_local, sched_horizon)
+    return wake, max(max_local, 1), station_rng
+
+
+def _flatten(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate per-repetition parts; a single part is used as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _draw_direct(
+    spec: RunSpec, seed_list: list[Optional[int]], full_cum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-rep draws through :func:`sample_station_events`: the ``(R, k)``
+    wake rounds, and the flat events as ``rep * k + station`` ids with
+    their global rounds."""
+    k = spec.k
+    wake_all = np.empty((len(seed_list), k), dtype=np.int64)
+    station_parts: list[np.ndarray] = []
+    global_parts: list[np.ndarray] = []
+    for r, seed in enumerate(seed_list):
+        wake, max_local, station_rng = _rep_wake(spec, seed)
+        stations, rounds = sample_station_events(
+            station_rng, spec.schedule, k, full_cum[:max_local], max_local
+        )
+        wake_all[r] = wake
+        rounds += wake[stations]
+        stations += np.int64(r) * k
+        station_parts.append(stations)
+        global_parts.append(rounds)
+    return wake_all, _flatten(station_parts), _flatten(global_parts)
+
+
+def _draw_poisson(
+    spec: RunSpec, seed_list: list[Optional[int]], full_cum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-rep Poisson-thinning draws: the ``(R, k)`` wake rounds and point
+    counts, and every point's local round in ``(rep, station)`` order.
+
+    Each point was drawn on its own repetition's prefix of the
+    cumulative-hazard axis, so one batch-wide search against the full
+    table lands on the same round.
+    """
+    k = spec.k
+    R = len(seed_list)
+    wake_all = np.empty((R, k), dtype=np.int64)
+    counts_all = np.zeros((R, k), dtype=np.int64)
+    flat_parts: list[np.ndarray] = []
+    for r, seed in enumerate(seed_list):
+        wake, max_local, station_rng = _rep_wake(spec, seed)
+        wake_all[r] = wake
+        total = float(full_cum[max_local - 1])
+        if total <= 0.0:
+            continue  # no transmissions: nothing to draw
+        counts = station_rng.poisson(total, size=k)
+        counts_all[r] = counts
+        flat_parts.append(station_rng.uniform(0.0, total, size=int(counts.sum())))
+    flat = _flatten(flat_parts) if flat_parts else np.empty(0)
+    local = _map_points_to_rounds(full_cum, flat)
+    local += 1
+    return wake_all, counts_all, local
+
+
 def _run_tile(
     spec: RunSpec,
-    seed_list: list[int],
+    seed_list: list[Optional[int]],
     full_cum: np.ndarray,
     tile_rounds: Optional[int],
 ) -> list[RunResult]:
     """One rep tile: the full kernel over ``seed_list``'s repetitions.
 
-    Exactly the pre-streaming monolithic body — per-rep draws, one sort,
-    segment-reduction resolution, stop/attempt/materialise — except that
-    the ack-switch-off fixpoint optionally sweeps the sorted event
-    stream in ``tile_rounds``-round windows, carrying the ``win``
-    frontier forward (see :func:`_ack_fixpoint` for why that is exact).
+    Per-rep draws, one sort, segment-reduction resolution, then
+    stop/attempt/materialise; the ack fixpoint optionally sweeps
+    ``tile_rounds``-round windows (see :func:`_ack_fixpoint`).  Draw
+    arrays are released as soon as the sort key holds their information,
+    so a single large run peaks at a few event arrays.
     """
     R = len(seed_list)
     phase = telemetry.timer()
@@ -410,78 +570,19 @@ def _run_tile(
     sched_horizon = schedule.horizon()
 
     # --- per-repetition draws (seed-exact, so they stay per-rep calls;
-    # everything after this loop is whole-batch array work) --------------
-    # Schedules without a sample_rounds override draw nothing but the
-    # Poisson counts and uniform points per repetition, so the
-    # searchsorted / dedup passes can run once over the whole batch.
+    # everything after this is whole-batch array work) ------------------
+    # Plain Bernoulli schedules draw only Poisson counts and points per
+    # repetition; their round mapping runs once over the whole batch.
     direct = (
         type(schedule).sample_rounds is not ProbabilitySchedule.sample_rounds
     )
-    wake_all = np.empty((R, k), dtype=np.int64)
     if direct:
-        station_parts: list[np.ndarray] = []
-        global_parts: list[np.ndarray] = []
-        for r, seed in enumerate(seed_list):
-            adversary_rng, station_rng = _rep_generators(seed)
-            wake = np.asarray(
-                adversary.wake_rounds(k, adversary_rng), dtype=np.int64
-            )
-            if wake.shape != (k,):
-                raise ValueError("adversary produced a malformed wake schedule")
-            max_local = int(max_rounds - wake.min())
-            if sched_horizon is not None:
-                max_local = min(max_local, sched_horizon)
-            max_local = max(max_local, 1)
-            stations, local_rounds = sample_station_events(
-                station_rng, schedule, k, full_cum[:max_local], max_local
-            )
-            wake_all[r] = wake
-            station_parts.append(stations + np.int64(r) * k)
-            global_parts.append(local_rounds + wake[stations])
-        ev_station = (
-            np.concatenate(station_parts)
-            if station_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        ev_global = (
-            np.concatenate(global_parts)
-            if global_parts
-            else np.empty(0, dtype=np.int64)
-        )
+        wake_all, ev_station, ev_global = _draw_direct(spec, seed_list, full_cum)
+        draw_bytes = ev_station.nbytes + ev_global.nbytes
     else:
-        counts_all = np.zeros((R, k), dtype=np.int64)
-        flat_parts: list[np.ndarray] = []
-        for r, seed in enumerate(seed_list):
-            adversary_rng, station_rng = _rep_generators(seed)
-            wake = np.asarray(
-                adversary.wake_rounds(k, adversary_rng), dtype=np.int64
-            )
-            if wake.shape != (k,):
-                raise ValueError("adversary produced a malformed wake schedule")
-            max_local = int(max_rounds - wake.min())
-            if sched_horizon is not None:
-                max_local = min(max_local, sched_horizon)
-            max_local = max(max_local, 1)
-            wake_all[r] = wake
-            total = float(full_cum[max_local - 1])
-            if total <= 0.0:
-                continue  # no transmissions: the sequential path draws nothing
-            counts = station_rng.poisson(total, size=k)
-            counts_all[r] = counts
-            flat_parts.append(
-                station_rng.uniform(0.0, total, size=int(counts.sum()))
-            )
-        # One batch-wide binary search: each point was drawn on its own
-        # repetition's prefix of the cumulative-hazard axis, so mapping it
-        # against the full table lands on the same round.
-        flat = (
-            np.concatenate(flat_parts)
-            if flat_parts
-            else np.empty(0, dtype=float)
-        )
-        local = _map_points_to_rounds(full_cum, flat)
-        local += 1
-        ev_station = None  # assembled straight into keys below
+        wake_all, counts_all, local = _draw_poisson(spec, seed_list, full_cum)
+        # The float64 uniform points peaked alongside ``local``.
+        draw_bytes = 8 * local.size + local.nbytes + counts_all.nbytes
     if phase:
         phase.lap("batched.draws")
 
@@ -503,12 +604,17 @@ def _run_tile(
     # Narrow keys halve the memory traffic of the sort and of every
     # whole-batch pass; typical batches (R=1000, k=64) need < 28 bits.
     key_dtype = np.int32 if key_bits <= 31 else np.int64
-    if ev_station is not None:
-        # Direct-path events: the per-rep sampling loop already produced
-        # flat (rep * k + station, global_round) arrays.
-        key = (
-            ((ev_station // k) << np.int64(sp)) + ev_global
-        ) << np.int64(kp) | (ev_station % k)
+    if direct:
+        # Built in place over the (rep * k + station, global_round) draw
+        # arrays, each released once folded in.
+        key = ev_station // k
+        key <<= sp
+        key += ev_global
+        del ev_global
+        key <<= kp
+        ev_station %= k
+        key |= ev_station
+        del ev_station
         key = key.astype(key_dtype, copy=False)
     else:
         # Poisson-path events: the key decomposes into a per-(rep,
@@ -521,30 +627,36 @@ def _run_tile(
             base.reshape(-1).astype(key_dtype, copy=False),
             counts_all.reshape(-1),
         )
+        del base, counts_all
         local = local.astype(key_dtype, copy=False)
         local <<= kp
         key += local
-    # One sort both orders the sweep and puts duplicate (station, round)
-    # samples side by side for the dedup mask (the direct path
-    # pre-dedupes; the mask is then a no-op).  Past-horizon events are
-    # dropped by the same mask.
+        del local
     if phase:
         phase.lap("batched.key_build")
+    # One sort both orders the sweep and puts duplicate (station, round)
+    # samples side by side for the dedup mask; past-horizon events are
+    # dropped by the same mask.
     key.sort()
     gk = key >> kp  # (rep, global_round) composite segment key
     g = gk & ((1 << sp) - 1)
     if key.size:
-        m = np.empty(key.size, dtype=bool)
-        m[0] = True
-        np.not_equal(key[1:], key[:-1], out=m[1:])
-        m &= g <= max_rounds
-        key = key[m]
-        gk = gk[m]
-        g = g[m]
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        keep &= g <= max_rounds
+        if not keep.all():
+            key = key[keep]
+            gk = gk[keep]
+            g = g[keep]
+        del keep
     ev_rep = gk >> sp
     s = ev_rep * k + (key & ((1 << kp) - 1))
+    n_events = int(key.size)
+    key_bytes = key.nbytes
+    del key
     if spec.jam_rounds:
-        ev_jammed = np.isin(g, np.asarray(spec.jam_rounds, dtype=np.int64))
+        ev_jammed = _sorted_member(np.asarray(spec.jam_rounds, dtype=np.int64), g)
     else:
         ev_jammed = np.zeros(g.size, dtype=bool)
     # Oblivious faults lower as post-resolution outcome rewrites: a fault
@@ -552,7 +664,9 @@ def _run_tile(
     # loss keeps the schedule-following winner contending), which under
     # schedule semantics is exactly the jammed-round treatment.  Fault
     # rounds are per repetition (each rep draws its own plan from its own
-    # seed), so membership is tested on the (rep, round) composite key.
+    # seed), so membership is tested on the (rep, round) composite key;
+    # the per-rep plans are sorted and concatenated in rep order, so the
+    # keys are ascending and membership is one binary search.
     ev_noise: Optional[np.ndarray] = None
     ev_fault: Optional[np.ndarray] = None
     ev_dead = ev_jammed
@@ -565,21 +679,15 @@ def _run_tile(
                 rep_base = np.int64(r) << np.int64(sp)
                 fault_parts.append(rep_base + fault_plan.fault_rounds)
                 noise_parts.append(rep_base + fault_plan.noise_rounds)
-        fault_keys = np.concatenate(fault_parts)
-        noise_keys = np.concatenate(noise_parts)
-        ev_fault = np.isin(gk, fault_keys)
-        ev_noise = np.isin(gk, noise_keys)
+        ev_fault = _sorted_member(np.concatenate(fault_parts), gk)
+        ev_noise = _sorted_member(np.concatenate(noise_parts), gk)
         ev_dead = ev_jammed | ev_fault
     if phase:
         phase.lap("batched.sort")
-        telemetry.count("batched.events", int(key.size))
-        if ev_station is not None:
-            draw_bytes = ev_station.nbytes + ev_global.nbytes
-        else:
-            draw_bytes = flat.nbytes + local.nbytes + counts_all.nbytes
+        telemetry.count("batched.events", n_events)
         telemetry.gauge_max(
             "tile.working_set_bytes.peak",
-            key.nbytes
+            key_bytes
             + gk.nbytes
             + g.nbytes
             + ev_rep.nbytes
@@ -611,7 +719,7 @@ def _run_tile(
         n_windows = 1
         if tile_rounds is not None and tile_rounds < max_rounds:
             n_windows = (int(max_rounds) - 1) // tile_rounds + 1
-        if n_windows <= 1 or key.size == 0:
+        if n_windows <= 1 or n_events == 0:
             win, passes = _ack_fixpoint(
                 win, s, g, gk, ev_rep, ev_dead, R, k
             )

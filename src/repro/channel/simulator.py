@@ -7,8 +7,9 @@ exactly one transmitter, acknowledgement-only feedback, no global clock
 
 It supports arbitrary :class:`~repro.core.protocol.Protocol` implementations
 — including the adaptive ``AdaptiveNoK`` with its control messages — and
-both oblivious and adaptive adversaries.  For large sweeps of *non-adaptive*
-schedules prefer :mod:`repro.channel.vectorized`.
+both oblivious and adaptive adversaries.  *Non-adaptive* schedules run
+faster on the batched schedule kernel (:mod:`repro.channel.batched`), which
+:func:`repro.engine.execute` selects for them automatically.
 """
 
 from __future__ import annotations

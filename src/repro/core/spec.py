@@ -1,7 +1,7 @@
 """RunSpec: one declarative, fingerprint-able description of a simulation run.
 
 Every execution in this repository — a slot-by-slot :class:`SlotSimulator`
-run or a Poisson-thinning :class:`VectorizedSimulator` run — is a pure
+run or a Poisson-thinning schedule-kernel run — is a pure
 function of a small set of inputs: contention size, the protocol (a
 non-adaptive :class:`~repro.core.protocol.ProbabilitySchedule` or a
 stateful :class:`~repro.core.protocol.Protocol` factory), the adversary,

@@ -13,10 +13,14 @@ The schedule fingerprint digests the schedule's class, ``name``,
 ``horizon()``, public primitive attributes *and* a probe of its actual
 probability values at fixed rounds — two schedules that would collide must
 agree on every probe, which no distinct paper configuration does.  As a
-second line of defence, the vectorised engine spot-checks any supplied
-table against the live schedule before sampling from it
-(``vectorized.py``), so a hash collision cannot silently poison results.
+second line of defence, the schedule kernel spot-checks the cached table
+against the live schedule before sampling from it
+(:func:`repro.channel.batched.check_prob_table`), so a hash collision
+cannot silently poison results.
 
+One entry holds both tables of a ``(schedule, horizon)`` key — the
+probability table and its cumulative hazard — so a kernel call pays one
+fingerprint and one lookup for the pair (:func:`schedule_tables`).
 Cached arrays are marked read-only; callers share them, never mutate them.
 """
 
@@ -28,13 +32,14 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.channel.vectorized import hazard_table
+from repro.channel.batched import hazard_table
 from repro.core.protocol import ProbabilitySchedule
 from repro.core.spec import stable_token
 from repro.telemetry import registry as telemetry
 
 __all__ = [
     "schedule_fingerprint",
+    "schedule_tables",
     "probability_table",
     "cumulative_hazard",
     "table_cache_info",
@@ -48,8 +53,10 @@ __all__ = [
 _PROBE_ROUNDS = tuple(range(1, 17)) + tuple(2**i for i in range(5, 21))
 
 _lock = threading.Lock()
-_tables: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
-_hazards: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
+#: (schedule fingerprint, horizon) -> (probability table, cumulative hazard).
+_entries: OrderedDict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = (
+    OrderedDict()
+)
 _max_entries = 32
 _hits = 0
 _misses = 0
@@ -88,58 +95,44 @@ def schedule_fingerprint(schedule: ProbabilitySchedule) -> str:
     return digest.hexdigest()[:24]
 
 
-def _get(
-    store: OrderedDict[tuple[str, int], np.ndarray], key: tuple[str, int]
-) -> np.ndarray | None:
-    global _hits
-    entry = store.get(key)
-    if entry is not None:
-        store.move_to_end(key)
-        _hits += 1
-        telemetry.count("engine.cache.hit")
-    return entry
-
-
-def _put(
-    store: OrderedDict[tuple[str, int], np.ndarray],
-    key: tuple[str, int],
-    value: np.ndarray,
-) -> np.ndarray:
-    global _misses
-    _misses += 1
-    telemetry.count("engine.cache.miss")
-    value.setflags(write=False)
-    store[key] = value
-    while len(store) > _max_entries:
-        store.popitem(last=False)
-        telemetry.count("engine.cache.evict")
-    return value
+def schedule_tables(
+    schedule: ProbabilitySchedule, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(probability table, cumulative hazard)`` over ``horizon`` rounds,
+    cached and read-only: one fingerprint and one lookup for both."""
+    global _hits, _misses
+    key = (schedule_fingerprint(schedule), int(horizon))
+    with _lock:
+        entry = _entries.get(key)
+        if entry is not None:
+            _entries.move_to_end(key)
+            _hits += 1
+            telemetry.count("engine.cache.hit")
+            return entry
+    table = np.asarray(schedule.probabilities(int(horizon)), dtype=float)
+    hazards = hazard_table(table)
+    table.setflags(write=False)
+    hazards.setflags(write=False)
+    with _lock:
+        _misses += 1
+        telemetry.count("engine.cache.miss")
+        _entries[key] = (table, hazards)
+        while len(_entries) > _max_entries:
+            _entries.popitem(last=False)
+            telemetry.count("engine.cache.evict")
+    return table, hazards
 
 
 def probability_table(
     schedule: ProbabilitySchedule, horizon: int
 ) -> np.ndarray:
     """``schedule.probabilities(horizon)``, cached and read-only."""
-    key = (schedule_fingerprint(schedule), int(horizon))
-    with _lock:
-        cached = _get(_tables, key)
-    if cached is not None:
-        return cached
-    table = np.asarray(schedule.probabilities(int(horizon)), dtype=float)
-    with _lock:
-        return _put(_tables, key, table)
+    return schedule_tables(schedule, horizon)[0]
 
 
 def cumulative_hazard(schedule: ProbabilitySchedule, horizon: int) -> np.ndarray:
     """The cumulative-hazard table over the probability table, cached."""
-    key = (schedule_fingerprint(schedule), int(horizon))
-    with _lock:
-        cached = _get(_hazards, key)
-    if cached is not None:
-        return cached
-    hazards = hazard_table(probability_table(schedule, horizon))
-    with _lock:
-        return _put(_hazards, key, hazards)
+    return schedule_tables(schedule, horizon)[1]
 
 
 def table_cache_info() -> dict[str, int]:
@@ -149,8 +142,7 @@ def table_cache_info() -> dict[str, int]:
         return {
             "hits": _hits,
             "misses": _misses,
-            "tables": len(_tables),
-            "hazards": len(_hazards),
+            "tables": len(_entries),
             "max_entries": _max_entries,
         }
 
@@ -159,21 +151,19 @@ def clear_table_cache() -> None:
     """Drop every cached table and reset the counters."""
     global _hits, _misses
     with _lock:
-        _tables.clear()
-        _hazards.clear()
+        _entries.clear()
         _hits = 0
         _misses = 0
 
 
 def set_table_cache_limit(max_entries: int) -> None:
-    """Bound the cache (per store).  Tables are O(horizon) floats each, so
-    the default of 32 caps worst-case memory at a few tens of megabytes."""
+    """Bound the cache (entries).  Each entry is two O(horizon) float
+    tables, so the default of 32 caps worst-case memory at a few tens of
+    megabytes."""
     global _max_entries
     if max_entries < 1:
         raise ValueError(f"max_entries must be >= 1, got {max_entries}")
     with _lock:
         _max_entries = int(max_entries)
-        while len(_tables) > _max_entries:
-            _tables.popitem(last=False)
-        while len(_hazards) > _max_entries:
-            _hazards.popitem(last=False)
+        while len(_entries) > _max_entries:
+            _entries.popitem(last=False)

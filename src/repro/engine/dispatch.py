@@ -2,12 +2,13 @@
 
 The repository ships three exact engines — the slot-by-slot
 :class:`~repro.channel.simulator.SlotSimulator` (runs everything), the
-Poisson-thinning :class:`~repro.channel.vectorized.VectorizedSimulator`
-(runs the non-adaptive subset ~100x faster), and the table-driven
-compiled stepper (:mod:`repro.channel.compiled`, byte-identical to the
-object engine on the finite-state-machine protocols it lowers —
-``AdaptiveNoK``, ``SUniform``, ``GlobalClockUFR`` and probability
-schedules).  Before this layer existed, every experiment driver
+``"vectorized"`` engine, which is the Poisson-thinning schedule kernel
+:func:`~repro.channel.batched.run_batch` (runs the non-adaptive subset
+~100x faster; a single run is the batch of one seed), and the
+table-driven compiled stepper (:mod:`repro.channel.compiled`,
+byte-identical to the object engine on the finite-state-machine protocols
+it lowers — ``AdaptiveNoK``, ``SUniform``, ``GlobalClockUFR`` and
+probability schedules).  Before this layer existed, every experiment driver
 hand-picked an engine and re-spelled its constructor kwargs; now the
 choice is a property of the :class:`~repro.core.spec.RunSpec`:
 
@@ -94,7 +95,6 @@ from repro.channel.results import RunResult
 from repro.channel.simulator import SlotSimulator
 from repro.channel.traffic import QueueSimulator, traffic_reduction
 from repro.channel.validate import validate_run
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.spec import RunSpec
 from repro.engine.cache import probability_table
 from repro.engine.compile import adversary_lowering_reason, lowering_reason
@@ -117,7 +117,7 @@ __all__ = [
     "use_engine",
 ]
 
-Engine = Union[SlotSimulator, VectorizedSimulator, CompiledSimulator, QueueSimulator]
+Engine = Union[SlotSimulator, CompiledSimulator, QueueSimulator]
 
 #: Legal values of the ``engine`` argument (and the CLI's ``--engine``).
 ENGINE_NAMES = ("auto", "object", "vectorized", "compiled", "cross-check")
@@ -295,21 +295,35 @@ def select_engine(spec: RunSpec) -> str:
     return "object"
 
 
-def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
-    """Construct (but do not run) the simulator for ``spec``.
+def _require_vectorized(spec: RunSpec) -> None:
+    """Raise :class:`EngineSelectionError` on an inadmissible spec."""
+    reason = vectorized_inadmissibility(spec)
+    if reason is not None:
+        raise EngineSelectionError(f"spec is not vectorised-admissible: {reason}")
 
-    The vectorised path shares the per-process probability-table cache, so
-    repeated constructions of the same configuration reuse one table.
-    """
+
+def _reduced(spec: RunSpec) -> RunSpec:
+    """The spec a fast engine runs: free traffic's packet-level reduction
+    (seed-independent by construction: the capacity padding fixes k)."""
+    return traffic_reduction(spec) if spec.is_traffic_run else spec
+
+
+def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
+    """Construct (but do not run) the round-loop simulator for ``spec``:
+    object, compiled or fifo :class:`QueueSimulator`.  The ``"vectorized"``
+    engine is a kernel function, not an object, so asking for it (also via
+    ``"auto"``) raises :class:`EngineSelectionError`."""
     if engine == "auto":
         engine = select_engine(spec)
-    if spec.is_traffic_run and engine in ("object", "vectorized", "compiled"):
+    if engine == "vectorized":
+        _require_vectorized(spec)
+        raise EngineSelectionError(
+            "the vectorized engine is the batched schedule kernel and has no "
+            "simulator object; run the spec with execute(spec, "
+            "engine='vectorized') or execute_batch(spec, seeds)"
+        )
+    if spec.is_traffic_run and engine in ("object", "compiled"):
         if spec.queue_discipline == "fifo":
-            if engine == "vectorized":
-                raise EngineSelectionError(
-                    "spec is not vectorised-admissible: "
-                    f"{vectorized_inadmissibility(spec)}"
-                )
             if engine == "compiled":
                 raise EngineSelectionError(
                     "spec is not compiled-admissible: "
@@ -318,25 +332,6 @@ def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
             return QueueSimulator(spec)
         # Free discipline: every engine runs the packet-level reduction.
         return build_simulator(traffic_reduction(spec), engine)
-    if engine == "vectorized":
-        reason = vectorized_inadmissibility(spec)
-        if reason is not None:
-            raise EngineSelectionError(
-                f"spec is not vectorised-admissible: {reason}"
-            )
-        horizon = spec.resolve_horizon()
-        return VectorizedSimulator(
-            spec.k,
-            spec.schedule,
-            spec.adversary,
-            switch_off_on_ack=spec.switch_off_on_ack,
-            stop=spec.stop,
-            max_rounds=horizon,
-            seed=spec.seed,
-            prob_table=probability_table(spec.schedule, horizon),
-            jam_rounds=spec.jam_rounds,
-            faults=spec.faults,
-        )
     if engine == "compiled":
         reason = compiled_inadmissibility(spec)
         if reason is not None:
@@ -366,28 +361,38 @@ def build_simulator(spec: RunSpec, engine: str = "auto") -> Engine:
     )
 
 
+def _run_vectorized(spec: RunSpec) -> RunResult:
+    """One run on the ``"vectorized"`` engine: the kernel at R=1."""
+    return run_batch(_reduced(spec), seeds=[spec.seed])[0]
+
+
 def execute(spec: RunSpec, engine: Optional[str] = None) -> RunResult:
     """Run one spec on the right engine and return its :class:`RunResult`.
 
     ``engine=None`` uses the process default (``"auto"`` unless the CLI's
     ``--engine`` flag or :func:`use_engine` changed it).  ``"auto"`` picks
-    the vectorised engine exactly when the spec is admissible and is
-    byte-identical, per seed, to constructing that engine directly.
-    ``"cross-check"`` runs both engines, asserts agreement, and returns
-    the result ``"auto"`` would have returned.
+    the vectorised engine exactly when the spec is admissible; that engine
+    runs the batched schedule kernel on the one seed, so a single run is
+    byte-identical to the same seed's slot of any batch.  ``"cross-check"``
+    runs every admissible engine, asserts agreement, and returns the
+    result ``"auto"`` would have returned.
     """
     if engine is None:
         engine = _default_engine
     if engine == "cross-check":
         with telemetry.span("engine.execute.cross-check"):
             return _cross_check(spec)
-    simulator = build_simulator(spec, engine)
-    if isinstance(simulator, VectorizedSimulator):
+    if engine == "auto":
+        engine = select_engine(spec)
+    elif engine == "vectorized":
+        _require_vectorized(spec)
+    if engine == "vectorized":
         telemetry.count("engine.select.vectorized")
         if spec.faults is not None:
             telemetry.count("engine.select.vectorized.fault")
         with telemetry.span("engine.execute.vectorized"):
-            return simulator.run()
+            return _run_vectorized(spec)
+    simulator = build_simulator(spec, engine)
     if isinstance(simulator, CompiledSimulator):
         telemetry.count("engine.select.compiled")
         _count_compiled_capabilities(simulator.spec)
@@ -416,9 +421,10 @@ def execute_batch(
     """Run ``spec`` once per seed, fusing admissible specs into one batch.
 
     Byte-identical to ``[execute(spec.with_seed(s), engine) for s in
-    seeds]`` — both fused kernels (:func:`repro.channel.batched.run_batch`
-    and :func:`repro.channel.compiled.run_compiled_batch`) are admissible
-    exactly where their single-run engines are, and everything else falls
+    seeds]`` — the schedule kernel (:func:`repro.channel.batched.run_batch`)
+    *is* the vectorised engine, the compiled stepper's fused batch
+    (:func:`repro.channel.compiled.run_compiled_batch`) is admissible
+    exactly where its single-run engine is, and everything else falls
     back to per-run execution transparently:
 
     * ``"auto"`` (or None, with an ``auto`` default): vectorised-admissible
@@ -442,15 +448,14 @@ def execute_batch(
         return [execute(spec.with_seed(s), engine) for s in seed_list]
     if engine not in ("auto", "vectorized", "compiled"):
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
-    # Admissible traffic specs fuse through their packet-level reduction
-    # (seed-independent by construction: the capacity padding fixes k).
-    base = traffic_reduction(spec) if spec.is_traffic_run else spec
+    # Admissible traffic specs fuse through their packet-level reduction;
+    # fifo traffic has none and falls back to per-run execution below.
     vec_reason = vectorized_inadmissibility(spec)
     if engine in ("auto", "vectorized") and vec_reason is None:
         telemetry.count("engine.batch_fused_runs", len(seed_list))
         if spec.faults is not None:
             telemetry.count("engine.select.vectorized.fault", len(seed_list))
-        return run_batch(base, seeds=seed_list)
+        return run_batch(_reduced(spec), seeds=seed_list)
     if engine == "vectorized":
         raise EngineSelectionError(
             f"spec is not vectorised-admissible: {vec_reason}"
@@ -458,6 +463,7 @@ def execute_batch(
     comp_reason = compiled_inadmissibility(spec)
     if comp_reason is None:
         telemetry.count("engine.batch_fused_runs", len(seed_list))
+        base = _reduced(spec)
         _count_compiled_capabilities(base)
         return run_compiled_batch(base, seeds=seed_list)
     if engine == "compiled":
@@ -619,6 +625,6 @@ def _cross_check(spec: RunSpec) -> RunResult:
         comp = None
     if vectorized_inadmissibility(spec) is not None:
         return obj if comp is None else comp
-    vec = build_simulator(spec, "vectorized").run()
+    vec = _run_vectorized(spec)
     assert_results_agree(spec, obj, vec)
     return vec

@@ -394,8 +394,9 @@ class TilePlan:
     tile_rounds: Optional[int]
     #: The spec's resolved horizon the windows partition.
     horizon: int
-    #: Cost-model estimate for one repetition, bytes (safety included).
-    est_rep_bytes: int
+    #: Cost-model estimate for one repetition, bytes (safety included);
+    #: None when no budget was set (the unconstrained plan needs none).
+    est_rep_bytes: Optional[int]
     #: The budget the plan was derived under (None = unconstrained).
     memory_budget: Optional[int]
 
@@ -419,8 +420,10 @@ class TilePlan:
         return self.n_rep_tiles * self.n_round_windows
 
     @property
-    def est_tile_bytes(self) -> int:
-        """Estimated peak working set of one rep tile."""
+    def est_tile_bytes(self) -> Optional[int]:
+        """Estimated peak working set of one rep tile (None = unestimated)."""
+        if self.est_rep_bytes is None:
+            return None
         return self.tile_reps * self.est_rep_bytes
 
     @property
@@ -461,10 +464,11 @@ def build_plan(
         budget = resolve_memory_budget(memory_budget)
         reps_cap = resolve_tile_reps(tile_reps)
         rounds_cap = resolve_tile_rounds(tile_rounds)
-        per_rep = estimate_rep_bytes(spec)
+        # The cost model reads the hazard table; only a budget needs it.
+        per_rep = None if budget is None else estimate_rep_bytes(spec)
         horizon = spec.resolve_horizon()
         if reps_cap is None:
-            if budget is None:
+            if per_rep is None:
                 reps_cap = max(n_reps, 1)
             else:
                 if per_rep > budget:

@@ -119,27 +119,26 @@ class FaultPlan:
     """Pre-drawn fault rounds for one run: the oblivious realisation.
 
     ``noise_rounds``/``ack_rounds`` are sorted int64 arrays of global
-    round numbers (1-based, inclusive of the horizon); the frozensets
-    back O(1) membership tests in the per-round engines and
-    ``fault_rounds`` is their union for the batched key masks.
+    round numbers (1-based, inclusive of the horizon); ``fault_rounds``
+    is their sorted union for the batched key masks, and the frozensets
+    (built on access) back O(1) membership tests in the object engine's
+    round loop.
     """
 
-    __slots__ = (
-        "noise_rounds",
-        "ack_rounds",
-        "fault_rounds",
-        "noise_set",
-        "ack_set",
-        "fault_set",
-    )
+    __slots__ = ("noise_rounds", "ack_rounds", "fault_rounds")
 
     def __init__(self, noise_rounds: np.ndarray, ack_rounds: np.ndarray) -> None:
         self.noise_rounds = noise_rounds
         self.ack_rounds = ack_rounds
         self.fault_rounds = np.union1d(noise_rounds, ack_rounds)
-        self.noise_set = frozenset(noise_rounds.tolist())
-        self.ack_set = frozenset(ack_rounds.tolist())
-        self.fault_set = self.noise_set | self.ack_set
+
+    @property
+    def noise_set(self) -> frozenset:
+        return frozenset(self.noise_rounds.tolist())
+
+    @property
+    def ack_set(self) -> frozenset:
+        return frozenset(self.ack_rounds.tolist())
 
 
 @dataclass(frozen=True)

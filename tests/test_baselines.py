@@ -13,7 +13,8 @@ from repro.baselines.tdma import AlignedTDMA, tdma_factory
 from repro.channel.events import RoundOutcome
 from repro.channel.feedback import FeedbackModel, Observation
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 
 class TestAloha:
@@ -36,18 +37,30 @@ class TestAloha:
 
     def test_resolves_contention_eventually(self):
         k = 16
-        result = VectorizedSimulator(
-            k, SlottedAlohaKnownK(k), StaticSchedule(),
-            max_rounds=200 * k, seed=0,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=SlottedAlohaKnownK(k),
+                adversary=StaticSchedule(),
+                max_rounds=200 * k,
+                seed=0,
+            ),
+            engine="vectorized",
+        )
         assert result.completed and result.success_count == k
 
     def test_fixed_p_collapses_under_high_contention(self):
         # 64 stations at p = 0.5: essentially permanent collision.
-        result = VectorizedSimulator(
-            64, SlottedAlohaFixed(0.5), StaticSchedule(),
-            max_rounds=3000, seed=1,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=64,
+                protocol=SlottedAlohaFixed(0.5),
+                adversary=StaticSchedule(),
+                max_rounds=3000,
+                seed=1,
+            ),
+            engine="vectorized",
+        )
         assert result.success_count < 8
 
 

@@ -2,9 +2,12 @@
 
 The batched kernel's whole value proposition is the exactness contract:
 ``run_batch(spec, seeds)`` must return ``RunResult``s *byte-identical* to
-``[execute(spec.with_seed(s)) for s in seeds]`` on the vectorised engine —
-same wake draws, same transmission samples, same records, same metrics.
-The Hypothesis suite below fuzzes that equality across the cross-engine
+``[execute(spec.with_seed(s), engine="vectorized") for s in seeds]`` —
+the kernel at R=1 — so a repetition's result never depends on the batch
+it ran in: same wake draws, same transmission samples, same records, same
+metrics (``tests/test_plan.py`` adds every tiling to the equality, and
+``tests/test_engine_fuzz.py`` checks the kernel against the object
+engine).  The Hypothesis suite below fuzzes that equality across the cross-engine
 config space (stochastic and deterministic schedules, both vectorised
 sampling paths, jamming, ack/no-ack, every stop condition), comparing the
 checkpoint journal's canonical JSON serialisation so "byte-identical"

@@ -26,12 +26,13 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.adaptive import WakeOnSuccessAdversary
 from repro.baselines.backoff import BinaryExponentialBackoff
 from repro.baselines.cd_adaptive import CdAimdProtocol
+from repro.channel.batched import run_batch
 from repro.channel.compiled import CompiledSimulator
 from repro.channel.feedback import FeedbackModel
 from repro.channel.jamming import RandomJammer, ScheduledJammer
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator, default_max_rounds
-from repro.channel.vectorized import VectorizedSimulator
+from repro.channel.validate import validate_run
 from repro.core.protocol import ScheduleProtocol
 from repro.core.protocols import AdaptiveNoK, NonAdaptiveWithK, SUniform
 from repro.core.protocols.global_clock import GlobalClockUFR
@@ -108,7 +109,9 @@ def test_admissible_spec_selects_vectorized():
     spec = schedule_spec()
     assert vectorized_inadmissibility(spec) is None
     assert select_engine(spec) == "vectorized"
-    assert isinstance(build_simulator(spec), VectorizedSimulator)
+    # The vectorised engine is the batched kernel: no simulator object.
+    with pytest.raises(EngineSelectionError, match="execute"):
+        build_simulator(spec)
 
 
 @pytest.mark.parametrize(
@@ -312,13 +315,8 @@ def test_unknown_engine_rejected():
 
 def test_execute_matches_direct_vectorized_construction():
     spec = schedule_spec()
-    direct = VectorizedSimulator(
-        spec.k,
-        spec.schedule,
-        spec.adversary,
-        max_rounds=spec.max_rounds,
-        seed=spec.seed,
-    ).run()
+    (direct,) = run_batch(spec, seeds=[spec.seed])
+    assert repr(execute(spec, engine="vectorized")) == repr(direct)
     assert result_key(execute(spec)) == result_key(direct)
     assert result_key(execute(spec, engine="auto")) == result_key(direct)
 
@@ -338,14 +336,7 @@ def test_execute_matches_direct_object_construction():
 
 def test_jam_rounds_match_on_both_engines_per_spec():
     spec = schedule_spec(jam_rounds=(2, 3, 4, 5))
-    direct = VectorizedSimulator(
-        spec.k,
-        spec.schedule,
-        spec.adversary,
-        max_rounds=spec.max_rounds,
-        seed=spec.seed,
-        jam_rounds=spec.jam_rounds,
-    ).run()
+    (direct,) = run_batch(spec, seeds=[spec.seed])
     assert result_key(execute(spec)) == result_key(direct)
     # The object engine sees the same rounds through a ScheduledJammer.
     simulator = build_simulator(spec, "object")
@@ -365,6 +356,18 @@ def test_execute_repetition_fanout_is_deterministic():
     first = [result_key(execute(base.with_seed(s))) for s in range(3)]
     second = [result_key(execute(base.with_seed(s))) for s in range(3)]
     assert first == second
+
+
+def test_unseeded_vectorized_run_draws_entropy():
+    # seed=None runs entropy-seeded on the kernel's R=1 path and says so.
+    spec = schedule_spec(seed=None, stop=StopCondition.FIRST_SUCCESS)
+    for engine in ("auto", "vectorized"):
+        result = execute(spec, engine=engine)
+        assert result.seed is None
+        assert result.completed
+        validate_run(result)
+    (batched,) = run_batch(spec, seeds=[None])
+    assert batched.seed is None
 
 
 # ----------------------------------------------------- default + override

@@ -13,11 +13,12 @@ from repro.channel.jamming import RandomJammer
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator
 from repro.channel.trace_tools import render_timeline
-from repro.channel.vectorized import VectorizedSimulator
 from repro.cli import main
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
 from repro.core.protocols.adaptive_no_k import LISTEN_WINDOW, AdaptiveNoK, Mode
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
+from repro.engine import execute, probability_table
 
 
 class Constant(ProbabilitySchedule):
@@ -32,12 +33,18 @@ class Constant(ProbabilitySchedule):
 class TestVectorizedEdges:
     def test_short_prob_table_falls_back_to_schedule(self):
         schedule = NonAdaptiveWithK(8, 4)
-        short_table = schedule.probabilities(3)  # far too short
-        result = VectorizedSimulator(
-            8, schedule, StaticSchedule(), max_rounds=2000,
-            seed=0, prob_table=short_table,
-        ).run()
-        assert result.completed  # recomputed internally
+        probability_table(schedule, 3)  # a cached table far too short
+        result = execute(
+            RunSpec(
+                k=8,
+                protocol=schedule,
+                adversary=StaticSchedule(),
+                max_rounds=2000,
+                seed=0,
+            ),
+            engine="vectorized",
+        )
+        assert result.completed  # the horizon's own table is built
 
     def test_first_success_with_offset_wakes(self):
         class OneShot(ProbabilitySchedule):
@@ -51,21 +58,36 @@ class TestVectorizedEdges:
             def horizon(self) -> int:
                 return 1
 
-        result = VectorizedSimulator(
-            3, OneShot(), FixedSchedule([5, 5, 50]),
-            stop=StopCondition.FIRST_SUCCESS, max_rounds=200, seed=1,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=3,
+                protocol=OneShot(),
+                adversary=FixedSchedule([5, 5, 50]),
+                stop=StopCondition.FIRST_SUCCESS,
+                max_rounds=200,
+                seed=1,
+            ),
+            engine="vectorized",
+        )
         # The two round-5 stations collide at round 6 and are spent; the
         # third transmits alone at 51.
         assert result.completed
         assert result.first_success_round == 51
 
     def test_jam_plus_no_ack(self):
-        result = VectorizedSimulator(
-            1, Constant(1.0), StaticSchedule(),
-            switch_off_on_ack=False, stop=StopCondition.ALL_SUCCEEDED,
-            max_rounds=10, seed=2, jam_rounds=[1, 2, 3],
-        ).run()
+        result = execute(
+            RunSpec(
+                k=1,
+                protocol=Constant(1.0),
+                adversary=StaticSchedule(),
+                switch_off_on_ack=False,
+                stop=StopCondition.ALL_SUCCEEDED,
+                max_rounds=10,
+                seed=2,
+                jam_rounds=[1, 2, 3],
+            ),
+            engine="vectorized",
+        )
         record = result.records[0]
         # Jammed attempts cost energy; the run stops at the first success
         # (ALL_SUCCEEDED with one station), i.e. at round 4.
@@ -75,10 +97,17 @@ class TestVectorizedEdges:
         assert record.switch_off_round is None  # no-ack: never off
 
     def test_empty_jam_iterable(self):
-        result = VectorizedSimulator(
-            1, Constant(1.0), StaticSchedule(), max_rounds=5, seed=3,
-            jam_rounds=[],
-        ).run()
+        result = execute(
+            RunSpec(
+                k=1,
+                protocol=Constant(1.0),
+                adversary=StaticSchedule(),
+                max_rounds=5,
+                seed=3,
+                jam_rounds=[],
+            ),
+            engine="vectorized",
+        )
         assert result.records[0].first_success_round == 1
 
 

@@ -18,10 +18,11 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.oblivious import StaticSchedule
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ScheduleProtocol
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 
 def run_object(k, schedule, adversary, *, reps, seed, max_rounds, stop, ack=True):
@@ -39,10 +40,18 @@ def run_object(k, schedule, adversary, *, reps, seed, max_rounds, stop, ack=True
 
 def run_vector(k, schedule, adversary, *, reps, seed, max_rounds, stop, ack=True):
     return [
-        VectorizedSimulator(
-            k, schedule, adversary, switch_off_on_ack=ack,
-            stop=stop, max_rounds=max_rounds, seed=seed + 10_000 + r,
-        ).run()
+        execute(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=adversary,
+                switch_off_on_ack=ack,
+                stop=stop,
+                max_rounds=max_rounds,
+                seed=seed + 10_000 + r,
+            ),
+            engine="vectorized",
+        )
         for r in range(reps)
     ]
 
@@ -123,12 +132,18 @@ class TestJammingAgreement:
                 ).run()
             )
         vec = [
-            VectorizedSimulator(
-                k, schedule, wake,
-                stop=StopCondition.ALL_SWITCHED_OFF,
-                max_rounds=max_rounds, seed=20_100 + r,
-                jam_rounds=self._jam_rounds(5, 1, max_rounds),
-            ).run()
+            execute(
+                RunSpec(
+                    k=k,
+                    protocol=schedule,
+                    adversary=wake,
+                    stop=StopCondition.ALL_SWITCHED_OFF,
+                    max_rounds=max_rounds,
+                    seed=20_100 + r,
+                    jam_rounds=self._jam_rounds(5, 1, max_rounds),
+                ),
+                engine="vectorized",
+            )
             for r in range(reps)
         ]
         succ_obj = np.mean([r.success_count for r in obj])
@@ -166,13 +181,27 @@ class TestJammingAgreement:
         ).run()
         # Jam bursts at rounds [0, 40) only — all before any station wakes.
         assert jammed.first_success_round == plain.first_success_round
-        vec_plain = VectorizedSimulator(
-            k, schedule, wake, seed=7, **kwargs
-        ).run()
-        vec_jammed = VectorizedSimulator(
-            k, schedule, wake, seed=7,
-            jam_rounds=[t for t in range(1, 41)], **kwargs
-        ).run()
+        vec_plain = execute(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=wake,
+                seed=7,
+                **kwargs,
+            ),
+            engine="vectorized",
+        )
+        vec_jammed = execute(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=wake,
+                seed=7,
+                jam_rounds=[t for t in range(1, 41)],
+                **kwargs,
+            ),
+            engine="vectorized",
+        )
         assert vec_jammed.first_success_round == vec_plain.first_success_round
 
 
@@ -196,9 +225,17 @@ class TestNoAckSwitchOffAgreement:
             lambda: ScheduleProtocol(schedule, switch_off_on_ack=False),
             wake, seed=11, **kwargs,
         ).run()
-        vec = VectorizedSimulator(
-            k, schedule, wake, switch_off_on_ack=False, seed=12, **kwargs
-        ).run()
+        vec = execute(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=wake,
+                switch_off_on_ack=False,
+                seed=12,
+                **kwargs,
+            ),
+            engine="vectorized",
+        )
         assert obj.completed and vec.completed
         assert obj.rounds_executed == vec.rounds_executed == 35 + horizon + 1
         obj_off = [r.switch_off_round for r in obj.records]
@@ -216,10 +253,17 @@ class TestNoAckSwitchOffAgreement:
             lambda: ScheduleProtocol(schedule, switch_off_on_ack=False),
             StaticSchedule(), seed=13, **kwargs,
         ).run()
-        vec = VectorizedSimulator(
-            k, schedule, StaticSchedule(),
-            switch_off_on_ack=False, seed=14, **kwargs,
-        ).run()
+        vec = execute(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=StaticSchedule(),
+                switch_off_on_ack=False,
+                seed=14,
+                **kwargs,
+            ),
+            engine="vectorized",
+        )
         assert not obj.completed and not vec.completed
         assert obj.rounds_executed == vec.rounds_executed == 500
         assert all(r.switch_off_round is None for r in obj.records)

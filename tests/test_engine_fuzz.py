@@ -1,4 +1,4 @@
-"""Property-based cross-engine fuzzing: the two engines must agree.
+"""Property-based cross-engine fuzzing: the engines must agree.
 
 ``tests/test_engine_agreement.py`` pins a handful of hand-picked
 configurations; this suite generalises them with Hypothesis.  The engines
@@ -13,6 +13,12 @@ model dimension the engines share — wake schedules, jamming patterns,
 ack/no-ack semantics, every stop condition, tight horizons — so the fuzz
 space covers all of them, plus both vectorised sampling paths (Poisson
 thinning and the ``sample_rounds`` direct path).
+
+The vectorised engine is the batched schedule kernel run on one seed, so
+every vectorised result is also checked byte for byte against its slot in
+``execute_batch`` over several seeds, untiled and streamed through small
+rep tiles and round windows: object == ``execute(…, "vectorized")`` ==
+``execute_batch`` (tiled and untiled).
 
 Stations sharing a wake round run perfectly correlated under a
 deterministic schedule (they collide forever and never succeed, in both
@@ -38,10 +44,10 @@ from repro.adversary.oblivious import FixedArrivals
 from repro.channel.jamming import Jammer
 from repro.channel.results import RunResult, StopCondition
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
 from repro.core.spec import RunSpec
 from repro.engine.dispatch import execute, execute_batch, vectorized_inadmissibility
+from repro.engine.plan import use_tiling
 
 MAX_WAKE = 25
 MAX_PATTERN = 25
@@ -110,6 +116,18 @@ def engine_configs(c, *, with_jamming: bool):
     return k, wakes, pattern, direct, ack, stop, max_rounds, jam
 
 
+def assert_batch_slot(spec: RunSpec, single: RunResult) -> None:
+    """``single`` (= ``execute(spec, "vectorized")``) is byte-identical to
+    its seed's slot of a multi-seed ``execute_batch``, and the batch is
+    unchanged when streamed through 2-rep tiles and 9-round windows."""
+    seeds = [spec.seed + 7, spec.seed, spec.seed + 3]
+    untiled = [repr(r) for r in execute_batch(spec, seeds=seeds)]
+    with use_tiling(tile_reps=2, tile_rounds=9):
+        tiled = [repr(r) for r in execute_batch(spec, seeds=seeds)]
+    assert untiled[1] == repr(single)
+    assert tiled == untiled
+
+
 def run_both(config) -> tuple[RunResult, RunResult]:
     k, wakes, pattern, direct, ack, stop, max_rounds, jam = config
     schedule = DeterministicSchedule(pattern, direct=direct)
@@ -125,16 +143,18 @@ def run_both(config) -> tuple[RunResult, RunResult]:
         seed=0,
         jammer=None if jam is None else FixedJammer(jam),
     ).run()
-    vec = VectorizedSimulator(
-        k,
-        schedule,
-        wake,
+    spec = RunSpec(
+        k=k,
+        protocol=schedule,
+        adversary=wake,
         switch_off_on_ack=ack,
         stop=stop,
         max_rounds=max_rounds,
         seed=1,
         jam_rounds=jam,
-    ).run()
+    )
+    vec = execute(spec, engine="vectorized")
+    assert_batch_slot(spec, vec)
     return obj, vec
 
 
@@ -228,21 +248,20 @@ def traffic_spec(config, *, discipline: str = "free") -> RunSpec:
 def test_traffic_dispatch_engines_agree(config):
     """Queued-arrival (traffic) specs run byte-identically through every
     dispatch path: the object engine, the vectorised engine, and the fused
-    batched kernel all consume the same free-discipline reduction, phantom
-    padding included."""
+    batched kernel (tiled and untiled) all consume the same free-discipline
+    reduction, phantom padding included."""
     spec = traffic_spec(config)
     assert vectorized_inadmissibility(spec) is None
     obj = execute(spec, "object")
     vec = execute(spec, "vectorized")
-    (fused,) = execute_batch(spec, seeds=[spec.seed])
-    for a, b in ((obj, vec), (vec, fused)):
-        assert a.completed == b.completed
-        assert a.rounds_executed == b.rounds_executed
-        assert a.success_count == b.success_count
-        assert a.total_transmissions == b.total_transmissions
-        assert record_keys(a, a.rounds_executed) == record_keys(
-            b, b.rounds_executed
-        )
+    assert_batch_slot(spec, vec)
+    assert obj.completed == vec.completed
+    assert obj.rounds_executed == vec.rounds_executed
+    assert obj.success_count == vec.success_count
+    assert obj.total_transmissions == vec.total_transmissions
+    assert record_keys(obj, obj.rounds_executed) == record_keys(
+        vec, vec.rounds_executed
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -615,22 +634,21 @@ def faulted_spec(config) -> RunSpec:
 @given(faulted_configs())
 def test_faulted_engines_byte_identical(config):
     """Oblivious noise/ack-loss on deterministic schedules: the object,
-    vectorised and fused-batch engines agree byte for byte per seed,
-    jamming and every stop condition mixed in."""
+    vectorised and fused-batch (tiled and untiled) engines agree byte for
+    byte per seed, jamming and every stop condition mixed in."""
     spec = faulted_spec(config)
     assert vectorized_inadmissibility(spec) is None
     obj = execute(spec, "object")
     vec = execute(spec, "vectorized")
-    (fused,) = execute_batch(spec, seeds=[spec.seed])
-    for a, b in ((obj, vec), (vec, fused)):
-        assert a.completed == b.completed
-        assert a.rounds_executed == b.rounds_executed
-        assert a.success_count == b.success_count
-        assert a.total_transmissions == b.total_transmissions
-        assert sorted(a.latencies) == sorted(b.latencies)
-        assert record_keys(a, a.rounds_executed) == record_keys(
-            b, b.rounds_executed
-        )
+    assert_batch_slot(spec, vec)
+    assert obj.completed == vec.completed
+    assert obj.rounds_executed == vec.rounds_executed
+    assert obj.success_count == vec.success_count
+    assert obj.total_transmissions == vec.total_transmissions
+    assert sorted(obj.latencies) == sorted(vec.latencies)
+    assert record_keys(obj, obj.rounds_executed) == record_keys(
+        vec, vec.rounds_executed
+    )
 
 
 @settings(max_examples=25, deadline=None)

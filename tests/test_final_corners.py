@@ -10,9 +10,10 @@ from repro.adversary.oblivious import StaticSchedule
 from repro.channel.feedback import Observation
 from repro.channel.messages import DataPacket
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
 from repro.core.protocols.global_clock import GlobalClockBeacon, GlobalClockUFR
+from repro.core.spec import RunSpec
+from repro.engine import execute
 from repro.theory.bounds import theorem31_c_for_eta
 
 
@@ -41,15 +42,29 @@ class TestLateWakes:
 
     def test_vectorized_engine_wake_at_horizon_edge(self):
         # Woken exactly at max_rounds - 1: one actionable round.
-        result = VectorizedSimulator(
-            1, AlwaysOn(), FixedSchedule([9]), max_rounds=10, seed=1
-        ).run()
+        result = execute(
+            RunSpec(
+                k=1,
+                protocol=AlwaysOn(),
+                adversary=FixedSchedule([9]),
+                max_rounds=10,
+                seed=1,
+            ),
+            engine="vectorized",
+        )
         assert result.records[0].first_success_round == 10
 
     def test_vectorized_all_wakes_late(self):
-        result = VectorizedSimulator(
-            2, AlwaysOn(), FixedSchedule([50, 60]), max_rounds=10, seed=2
-        ).run()
+        result = execute(
+            RunSpec(
+                k=2,
+                protocol=AlwaysOn(),
+                adversary=FixedSchedule([50, 60]),
+                max_rounds=10,
+                seed=2,
+            ),
+            engine="vectorized",
+        )
         assert result.success_count == 0
         assert not result.completed
 
@@ -107,9 +122,16 @@ class TestTheoryCorners:
 
 class TestStaticScheduleSingleton:
     def test_one_station_static(self):
-        result = VectorizedSimulator(
-            1, AlwaysOn(), StaticSchedule(), max_rounds=5, seed=3
-        ).run()
+        result = execute(
+            RunSpec(
+                k=1,
+                protocol=AlwaysOn(),
+                adversary=StaticSchedule(),
+                max_rounds=5,
+                seed=3,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         assert result.max_latency == 1
         assert result.total_transmissions == 1

@@ -23,11 +23,12 @@ from repro.adversary.oblivious import (
 )
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 OBLIVIOUS_POOL = [
     StaticSchedule(),
@@ -46,10 +47,16 @@ class TestNonAdaptiveWithK:
         k, c = 128, 6
         failures = 0
         for seed in range(5):
-            result = VectorizedSimulator(
-                k, NonAdaptiveWithK(k, c), adversary,
-                max_rounds=3 * c * k + 4 * k + 4096, seed=seed,
-            ).run()
+            result = execute(
+                RunSpec(
+                    k=k,
+                    protocol=NonAdaptiveWithK(k, c),
+                    adversary=adversary,
+                    max_rounds=3 * c * k + 4 * k + 4096,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
             if not result.completed:
                 failures += 1
                 continue
@@ -59,11 +66,16 @@ class TestNonAdaptiveWithK:
 
     def test_energy_is_k_log_k_scale(self):
         k, c = 256, 6
-        result = VectorizedSimulator(
-            k, NonAdaptiveWithK(k, c),
-            UniformRandomSchedule(span=lambda kk: 2 * kk),
-            max_rounds=30 * k, seed=11,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(k, c),
+                adversary=UniformRandomSchedule(span=lambda kk: 2 * kk),
+                max_rounds=30 * k,
+                seed=11,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         per_station = result.total_transmissions / k
         # Theorem 3.2: expectation ~ (c/2)(loglog k + log k) = ~27 at k=256.
@@ -78,10 +90,16 @@ class TestNonAdaptiveWithK:
         # The theorem allows a linear upper bound on k: run 64 stations
         # with the protocol parameterised at 2x the true contention.
         k = 64
-        result = VectorizedSimulator(
-            k, NonAdaptiveWithK(2 * k, 6), StaticSchedule(),
-            max_rounds=60 * 2 * k, seed=12,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(2 * k, 6),
+                adversary=StaticSchedule(),
+                max_rounds=60 * 2 * k,
+                seed=12,
+            ),
+            engine="vectorized",
+        )
         assert result.completed and result.success_count == k
 
 
@@ -92,9 +110,16 @@ class TestSublinearDecrease:
     def test_completes_within_theorem_horizon(self, adversary):
         k, b = 96, 4
         horizon = SublinearDecrease.latency_bound_no_ack(k, b) + 4 * k
-        result = VectorizedSimulator(
-            k, SublinearDecrease(b), adversary, max_rounds=horizon, seed=21
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=SublinearDecrease(b),
+                adversary=adversary,
+                max_rounds=horizon,
+                seed=21,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         assert result.success_count == k
 
@@ -103,15 +128,28 @@ class TestSublinearDecrease:
         horizon = SublinearDecrease.latency_bound_no_ack(k, b) + 4 * k
         with_ack, without_ack = [], []
         for seed in range(reps):
-            r1 = VectorizedSimulator(
-                k, SublinearDecrease(b), StaticSchedule(),
-                max_rounds=horizon, seed=seed,
-            ).run()
-            r2 = VectorizedSimulator(
-                k, SublinearDecrease(b), StaticSchedule(),
-                switch_off_on_ack=False, stop=StopCondition.ALL_SUCCEEDED,
-                max_rounds=horizon, seed=seed,
-            ).run()
+            r1 = execute(
+                RunSpec(
+                    k=k,
+                    protocol=SublinearDecrease(b),
+                    adversary=StaticSchedule(),
+                    max_rounds=horizon,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
+            r2 = execute(
+                RunSpec(
+                    k=k,
+                    protocol=SublinearDecrease(b),
+                    adversary=StaticSchedule(),
+                    switch_off_on_ack=False,
+                    stop=StopCondition.ALL_SUCCEEDED,
+                    max_rounds=horizon,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
             assert r1.completed and r2.completed
             with_ack.append(r1.max_latency)
             without_ack.append(r2.max_latency)
@@ -120,10 +158,16 @@ class TestSublinearDecrease:
     def test_energy_polylog_per_station(self):
         k, b = 128, 4
         horizon = SublinearDecrease.latency_bound_no_ack(k, b)
-        result = VectorizedSimulator(
-            k, SublinearDecrease(b), StaticSchedule(),
-            max_rounds=horizon, seed=31,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=SublinearDecrease(b),
+                adversary=StaticSchedule(),
+                max_rounds=horizon,
+                seed=31,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         per_station = result.total_transmissions / k
         # Theorem: O(log^2 k); Fact 4.1 gives the constant b ln^2(horizon/b).
@@ -140,12 +184,17 @@ class TestDecreaseSlowlyWakeup:
         schedule = DecreaseSlowly(q)
         times = []
         for seed in range(5):
-            result = VectorizedSimulator(
-                k, schedule, StaticSchedule(),
-                stop=StopCondition.FIRST_SUCCESS,
-                max_rounds=schedule.theoretical_wakeup_bound(k) + 1024,
-                seed=seed,
-            ).run()
+            result = execute(
+                RunSpec(
+                    k=k,
+                    protocol=schedule,
+                    adversary=StaticSchedule(),
+                    stop=StopCondition.FIRST_SUCCESS,
+                    max_rounds=schedule.theoretical_wakeup_bound(k) + 1024,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
             assert result.completed
             times.append(result.first_success_round)
         # The proof's ceiling is 32qk; empirically it is far below k.
@@ -211,15 +260,25 @@ class TestCrossProtocolShape:
         """The separation direction: at moderate k the universal code pays
         a visible polylog factor over the known-k ladder."""
         k = 512
-        known = VectorizedSimulator(
-            k, NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(span=lambda kk: 2 * kk),
-            max_rounds=40 * k, seed=51,
-        ).run()
-        unknown = VectorizedSimulator(
-            k, SublinearDecrease(4),
-            UniformRandomSchedule(span=lambda kk: 2 * kk),
-            max_rounds=SublinearDecrease.latency_bound_no_ack(k, 4), seed=51,
-        ).run()
+        known = execute(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(k, 6),
+                adversary=UniformRandomSchedule(span=lambda kk: 2 * kk),
+                max_rounds=40 * k,
+                seed=51,
+            ),
+            engine="vectorized",
+        )
+        unknown = execute(
+            RunSpec(
+                k=k,
+                protocol=SublinearDecrease(4),
+                adversary=UniformRandomSchedule(span=lambda kk: 2 * kk),
+                max_rounds=SublinearDecrease.latency_bound_no_ack(k, 4),
+                seed=51,
+            ),
+            engine="vectorized",
+        )
         assert known.completed and unknown.completed
         assert unknown.max_latency > known.max_latency

@@ -14,9 +14,10 @@ from repro.channel.jamming import (
     draw_jam_rounds,
 )
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 
 class AlwaysOn(ProbabilitySchedule):
@@ -204,15 +205,29 @@ class TestVectorizedJamming:
     def test_jam_rounds_block_success(self):
         # Single station transmitting every round: jam rounds 1..9, success
         # must land at round 10.
-        result = VectorizedSimulator(
-            1, AlwaysOn(), StaticSchedule(), max_rounds=20, seed=2,
-            jam_rounds=range(1, 10),
-        ).run()
+        result = execute(
+            RunSpec(
+                k=1,
+                protocol=AlwaysOn(),
+                adversary=StaticSchedule(),
+                max_rounds=20,
+                seed=2,
+                jam_rounds=range(1, 10),
+            ),
+            engine="vectorized",
+        )
         assert result.records[0].first_success_round == 10
 
     def test_attempts_in_jammed_rounds_cost_energy(self):
-        result = VectorizedSimulator(
-            1, AlwaysOn(), StaticSchedule(), max_rounds=20, seed=2,
-            jam_rounds=range(1, 10),
-        ).run()
+        result = execute(
+            RunSpec(
+                k=1,
+                protocol=AlwaysOn(),
+                adversary=StaticSchedule(),
+                max_rounds=20,
+                seed=2,
+                jam_rounds=range(1, 10),
+            ),
+            engine="vectorized",
+        )
         assert result.records[0].transmissions == 10  # 9 jammed + 1 success

@@ -16,8 +16,9 @@ from repro.channel.events import RoundOutcome
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator
 from repro.channel.validate import validate_run
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 
 class PiecewiseSchedule(ProbabilitySchedule):
@@ -80,9 +81,16 @@ def test_object_engine_invariants(schedule, wake, seed):
 @settings(max_examples=40, deadline=None)
 def test_vectorized_engine_invariants(schedule, wake, seed):
     k = len(wake)
-    result = VectorizedSimulator(
-        k, schedule, FixedSchedule(wake), max_rounds=300, seed=seed
-    ).run()
+    result = execute(
+        RunSpec(
+            k=k,
+            protocol=schedule,
+            adversary=FixedSchedule(wake),
+            max_rounds=300,
+            seed=seed,
+        ),
+        engine="vectorized",
+    )
     validate_run(result, k=k)
     assert sorted(r.wake_round for r in result.records) == sorted(wake)
     assert result.success_count <= k
@@ -112,9 +120,16 @@ def test_lone_station_always_succeeds(wake, seed, p):
         def probability(self, local_round: int) -> float:
             return p
 
-    result = VectorizedSimulator(
-        1, Constant(), FixedSchedule(wake[:1]), max_rounds=wake[0] + 2000, seed=seed
-    ).run()
+    result = execute(
+        RunSpec(
+            k=1,
+            protocol=Constant(),
+            adversary=FixedSchedule(wake[:1]),
+            max_rounds=wake[0] + 2000,
+            seed=seed,
+        ),
+        engine="vectorized",
+    )
     assert result.completed
 
 
@@ -130,9 +145,16 @@ def test_engines_share_schedule_semantics(seed):
         def probability(self, local_round: int) -> float:
             return 1.0 if local_round % 2 == 0 else 0.0
 
-    vec = VectorizedSimulator(
-        1, Alternating(), FixedSchedule([0]), max_rounds=10, seed=seed
-    ).run()
+    vec = execute(
+        RunSpec(
+            k=1,
+            protocol=Alternating(),
+            adversary=FixedSchedule([0]),
+            max_rounds=10,
+            seed=seed,
+        ),
+        engine="vectorized",
+    )
     obj = SlotSimulator(
         1,
         lambda: ScheduleProtocol(Alternating()),

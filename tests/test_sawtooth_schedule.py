@@ -7,9 +7,10 @@ import pytest
 
 from repro.adversary.oblivious import StaticSchedule
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocols.sawtooth_schedule import SawtoothSchedule, _window_sizes
 from repro.core.protocols.suniform import SUniform
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 
 class TestWindowStructure:
@@ -77,20 +78,32 @@ class TestSampler:
 class TestVectorizedIntegration:
     def test_resolves_static_contention(self):
         k = 64
-        result = VectorizedSimulator(
-            k, SawtoothSchedule(), StaticSchedule(),
-            max_rounds=64 * k, seed=5,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=SawtoothSchedule(),
+                adversary=StaticSchedule(),
+                max_rounds=64 * k,
+                seed=5,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         assert result.success_count == k
 
     def test_scales_to_large_k(self):
         """The point of the fast path: sawtooth at k = 2048 in seconds."""
         k = 2048
-        result = VectorizedSimulator(
-            k, SawtoothSchedule(), StaticSchedule(),
-            max_rounds=64 * k, seed=6,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=SawtoothSchedule(),
+                adversary=StaticSchedule(),
+                max_rounds=64 * k,
+                seed=6,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         assert result.max_latency < 20 * k
 
@@ -99,10 +112,16 @@ class TestVectorizedIntegration:
         k, reps = 32, 10
         vec, obj = [], []
         for r in range(reps):
-            vec_result = VectorizedSimulator(
-                k, SawtoothSchedule(), StaticSchedule(),
-                max_rounds=64 * k, seed=100 + r,
-            ).run()
+            vec_result = execute(
+                RunSpec(
+                    k=k,
+                    protocol=SawtoothSchedule(),
+                    adversary=StaticSchedule(),
+                    max_rounds=64 * k,
+                    seed=100 + r,
+                ),
+                engine="vectorized",
+            )
             obj_result = SlotSimulator(
                 k, lambda: SUniform(), StaticSchedule(),
                 max_rounds=64 * k, seed=900 + r,
@@ -116,10 +135,16 @@ class TestVectorizedIntegration:
         import math
 
         k = 256
-        result = VectorizedSimulator(
-            k, SawtoothSchedule(), StaticSchedule(),
-            max_rounds=64 * k, seed=7,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=SawtoothSchedule(),
+                adversary=StaticSchedule(),
+                max_rounds=64 * k,
+                seed=7,
+            ),
+            engine="vectorized",
+        )
         t = result.rounds_executed
         ceiling = 6 * math.log2(max(2, t)) ** 2
         assert max(r.transmissions for r in result.records) <= ceiling
@@ -130,6 +155,13 @@ class TestVectorizedIntegration:
                 return np.array([0], dtype=np.int64)  # invalid round 0
 
         with pytest.raises(ValueError):
-            VectorizedSimulator(
-                1, Broken(), StaticSchedule(), max_rounds=10, seed=0
-            ).run()
+            execute(
+                RunSpec(
+                    k=1,
+                    protocol=Broken(),
+                    adversary=StaticSchedule(),
+                    max_rounds=10,
+                    seed=0,
+                ),
+                engine="vectorized",
+            )

@@ -15,7 +15,6 @@ from repro.adversary.oblivious import StaticSchedule
 from repro.baselines.aloha import SlottedAlohaFixed, SlottedAlohaKnownK
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ScheduleProtocol
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
@@ -24,6 +23,8 @@ from repro.core.protocols.wakeup_variants import (
     FixedRateWakeup,
     GeometricDecayWakeup,
 )
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 CATALOG = [
     NonAdaptiveWithK(16, 2),
@@ -68,10 +69,17 @@ class TestScheduleContract:
             schedule.probability(0)
 
     def test_runs_on_vectorized_engine(self, schedule):
-        result = VectorizedSimulator(
-            4, schedule, StaticSchedule(),
-            stop=StopCondition.FIRST_SUCCESS, max_rounds=3000, seed=11,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=4,
+                protocol=schedule,
+                adversary=StaticSchedule(),
+                stop=StopCondition.FIRST_SUCCESS,
+                max_rounds=3000,
+                seed=11,
+            ),
+            engine="vectorized",
+        )
         # A positive-probability schedule gets at least one success among
         # 4 stations within 3000 rounds, except degenerate convergent ones.
         if schedule.cumulative(3000) > 5.0:

@@ -22,12 +22,13 @@ from repro.channel.trace_tools import (
     run_result_to_dict,
     success_gaps,
 )
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocols.wakeup_variants import (
     FixedRateWakeup,
     GeometricDecayWakeup,
 )
+from repro.core.spec import RunSpec
 from repro.core.station import StationRecord
+from repro.engine import execute
 
 
 class TestAdversarySearch:
@@ -65,9 +66,16 @@ class TestAdversarySearch:
         schedule = NonAdaptiveWithK(k, 4)
 
         def evaluate(instance):
-            result = VectorizedSimulator(
-                k, schedule, instance, max_rounds=40 * k, seed=9
-            ).run()
+            result = execute(
+                RunSpec(
+                    k=k,
+                    protocol=schedule,
+                    adversary=instance,
+                    max_rounds=40 * k,
+                    seed=9,
+                ),
+                engine="vectorized",
+            )
             return float(result.max_latency or 40 * k)
 
         outcome = search_worst_schedule(k, evaluate, budget=8, span=2 * k, seed=3)
@@ -178,10 +186,16 @@ class TestWakeupVariants:
         """The Borel-Cantelli failure: under a static crowd, a convergent-
         mass schedule leaves most stations undelivered forever."""
         k = 64
-        result = VectorizedSimulator(
-            k, GeometricDecayWakeup(0.5, 0.9), StaticSchedule(),
-            max_rounds=200 * k, seed=4,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=GeometricDecayWakeup(0.5, 0.9),
+                adversary=StaticSchedule(),
+                max_rounds=200 * k,
+                seed=4,
+            ),
+            engine="vectorized",
+        )
         assert result.success_count < k // 2
 
     def test_validation(self):

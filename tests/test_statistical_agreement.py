@@ -20,10 +20,11 @@ from repro.adversary.base import FixedSchedule
 from repro.adversary.oblivious import StaticSchedule
 from repro.channel.results import StopCondition
 from repro.channel.simulator import SlotSimulator
-from repro.channel.vectorized import VectorizedSimulator
 from repro.core.protocol import ProbabilitySchedule, ScheduleProtocol
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
+from repro.core.spec import RunSpec
+from repro.engine import execute
 
 
 def wakeup_samples_object(k, schedule, reps, seed):
@@ -45,11 +46,17 @@ def wakeup_samples_object(k, schedule, reps, seed):
 def wakeup_samples_vector(k, schedule, reps, seed):
     out = []
     for r in range(reps):
-        result = VectorizedSimulator(
-            k, schedule, StaticSchedule(),
-            stop=StopCondition.FIRST_SUCCESS, max_rounds=20_000,
-            seed=seed + 50_000 + r,
-        ).run()
+        result = execute(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=StaticSchedule(),
+                stop=StopCondition.FIRST_SUCCESS,
+                max_rounds=20_000,
+                seed=seed + 50_000 + r,
+            ),
+            engine="vectorized",
+        )
         assert result.completed
         out.append(result.first_success_round)
     return np.array(out, dtype=float)
@@ -91,10 +98,16 @@ class TestLatencyDistribution:
                         max_rounds=60 * k, seed=100 + r,
                     ).run()
                 else:
-                    result = VectorizedSimulator(
-                        k, schedule, wake, max_rounds=60 * k,
-                        seed=900_000 + r,
-                    ).run()
+                    result = execute(
+                        RunSpec(
+                            k=k,
+                            protocol=schedule,
+                            adversary=wake,
+                            max_rounds=60 * k,
+                            seed=900_000 + r,
+                        ),
+                        engine="vectorized",
+                    )
                 assert result.completed
                 latencies.extend(result.latencies)
             return np.array(latencies, dtype=float)
@@ -122,12 +135,18 @@ class TestPerRoundTransmissionLaw:
         counts = np.zeros(3)
         trials = 400
         for seed in range(trials):
-            result = VectorizedSimulator(
-                1, schedule, StaticSchedule(),
-                switch_off_on_ack=False,
-                stop=StopCondition.ALL_SUCCEEDED,
-                max_rounds=3, seed=seed,
-            ).run()
+            result = execute(
+                RunSpec(
+                    k=1,
+                    protocol=schedule,
+                    adversary=StaticSchedule(),
+                    switch_off_on_ack=False,
+                    stop=StopCondition.ALL_SUCCEEDED,
+                    max_rounds=3,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
             # One station, three rounds: transmissions counted per run give
             # the empirical sum p1+p2+p3 = 0.55.
             counts[0] += result.records[0].transmissions
@@ -142,9 +161,16 @@ class TestPerRoundTransmissionLaw:
                 return 1.0 if local_round == 2 else 0.0
 
         for seed in range(20):
-            result = VectorizedSimulator(
-                1, OnlyRoundTwo(), StaticSchedule(), max_rounds=10, seed=seed
-            ).run()
+            result = execute(
+                RunSpec(
+                    k=1,
+                    protocol=OnlyRoundTwo(),
+                    adversary=StaticSchedule(),
+                    max_rounds=10,
+                    seed=seed,
+                ),
+                engine="vectorized",
+            )
             assert result.records[0].first_success_round == 2
             assert result.records[0].transmissions == 1
 
@@ -165,7 +191,6 @@ class TestCompiledAdaptiveLatency:
 
     def _latency_samples(self, engine: str, seed0: int):
         from repro.core.protocols.adaptive_no_k import AdaptiveNoK
-        from repro.core.spec import RunSpec
         from repro.engine import execute_batch
 
         spec = RunSpec(

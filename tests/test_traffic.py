@@ -35,7 +35,6 @@ from repro.channel import (
     QueueSimulator,
     SlotSimulator,
     StopCondition,
-    VectorizedSimulator,
     draw_packets,
     traffic_reduction,
     validate_run,
@@ -259,7 +258,10 @@ class TestTrafficDispatch:
 
     def test_build_simulator_matrix(self):
         free = self.spec()
-        assert isinstance(build_simulator(free), VectorizedSimulator)
+        # Free traffic selects the vectorised engine: the batched kernel,
+        # which execute() runs and build_simulator() does not construct.
+        with pytest.raises(EngineSelectionError, match="execute"):
+            build_simulator(free)
         assert isinstance(build_simulator(free, "object"), SlotSimulator)
 
     def test_reduction_round_trip(self):
@@ -313,6 +315,19 @@ class TestTrafficDispatch:
                 (r.wake_round, r.first_success_round, r.transmissions)
                 for r in single.records
             )
+
+    def test_fifo_batch_falls_back_to_sequential(self):
+        # Fifo traffic has no packet-level reduction: execute_batch must
+        # fall back to per-run execution rather than try to reduce it.
+        spec = self.spec(
+            arrivals=PoissonArrivals(rate=0.15),
+            queue_discipline="fifo",
+            max_rounds=60,
+        )
+        seeds = [5, 6, 7]
+        assert [repr(r) for r in execute_batch(spec, seeds=seeds)] == [
+            repr(execute(spec.with_seed(s))) for s in seeds
+        ]
 
     def test_draw_packets_matches_engine_wakes(self):
         spec = self.spec(arrivals=PoissonArrivals(rate=0.2), max_rounds=50)
