@@ -20,22 +20,29 @@ import pytest
 
 from repro.adversary.oblivious import StaticSchedule, UniformRandomSchedule
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
-from repro.experiments.executor import parallelism_available
-from repro.experiments.harness import sweep_schedule
+from repro.core.spec import RunSpec
+from repro.experiments.executor import parallelism_available, use_jobs
+from repro.experiments.harness import Cell, fold_sample, run_grid, run_seed
 
 from benchmarks.conftest import RESULTS_DIR
 
 
 def _sweep(jobs, *, ks=(64, 128, 192, 256), reps=6):
-    return sweep_schedule(
-        ks,
-        lambda k: NonAdaptiveWithK(k, 4),
-        UniformRandomSchedule(span=lambda k: 2 * k),
-        reps=reps,
-        seed=8087,
-        max_rounds=lambda k: 60 * k,
-        jobs=jobs,
-    )
+    cells = [
+        Cell.repeated(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(k, 4),
+                adversary=UniformRandomSchedule(span=lambda kk: 2 * kk),
+                max_rounds=60 * k,
+            ),
+            run_seed(8087, i, 0),
+            reps,
+        )
+        for i, k in enumerate(ks)
+    ]
+    with use_jobs(jobs):
+        return [fold_sample(runs) for runs in run_grid(cells)]
 
 
 def test_bench_parallel_equality(benchmark):

@@ -34,7 +34,8 @@ from repro.channel.results import StopCondition
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.spec import RunSpec
 from repro.engine.plan import build_plan, estimate_rep_bytes, use_tiling
-from repro.experiments.harness import repeat_schedule_runs
+from repro.experiments.executor import use_batch_size, use_jobs
+from repro.experiments.harness import Cell, fold_sample, run_grid
 
 K = 64
 REPS = int(os.environ.get("REPRO_BENCH_REPS", "1000"))
@@ -78,17 +79,11 @@ def test_bench_streaming_kernel(benchmark):
 def _run_sharded(jobs: int):
     # One configuration, its repetitions tiled so the fork pool has
     # ~2 tiles per worker to schedule at jobs=4.
-    with use_tiling(tile_reps=max(1, REPS // N_TILES)):
-        return repeat_schedule_runs(
-            K,
-            lambda k: NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(span=lambda k: 2 * k),
-            reps=REPS,
-            seed=SPEC.seed,
-            max_rounds=lambda k: 30 * k,
-            jobs=jobs,
-            batch_size=REPS,
-        )
+    spec = SPEC.replace(stop=StopCondition.ALL_SWITCHED_OFF, switch_off_on_ack=True)
+    with use_tiling(tile_reps=max(1, REPS // N_TILES)), use_jobs(jobs), \
+            use_batch_size(REPS):
+        (runs,) = run_grid([Cell.repeated(spec, SPEC.seed, REPS)])
+    return fold_sample(runs)
 
 
 def test_bench_tile_sharding_jobs1(benchmark):

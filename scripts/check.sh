@@ -13,13 +13,21 @@ if ! python3 -m pip install -e . --quiet 2>/dev/null; then
 fi
 
 echo "== engine-dispatch lint =="
-# Experiment drivers must go through execute(RunSpec(...)) or
-# execute_batch — constructing an engine or calling a fused kernel
-# directly bypasses dispatch, the fallback rules and the checkpoint
-# fingerprint derivation.
+# Experiment drivers must go through engine dispatch — constructing an
+# engine or calling a fused kernel directly bypasses the fallback rules
+# and the checkpoint fingerprint derivation.
 if grep -rnE "(SlotSimulator|run_batch|run_compiled_batch)\(" src/repro/experiments/; then
     echo "error: direct engine construction under src/repro/experiments/;"
-    echo "build a RunSpec and call repro.engine.execute / execute_batch instead."
+    echo "build a RunSpec and run it through repro.experiments.harness.run_grid."
+    exit 1
+fi
+# Drivers run repetitions only through the harness's run_grid: a hand
+# loop over execute()/execute_batch() skips batching, --jobs, --resume
+# and the default fault model.
+if grep -rnE "\bexecute(_batch)?\(" src/repro/experiments/ \
+        --exclude=harness.py; then
+    echo "error: execute()/execute_batch() called outside harness.py;"
+    echo "describe the runs as harness Cells and call run_grid instead."
     exit 1
 fi
 

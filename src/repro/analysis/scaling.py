@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GROWTH_MODELS", "ModelFit", "fit_model", "fit_all", "best_model", "log_slope"]
+__all__ = [
+    "GROWTH_MODELS", "ModelFit", "NO_FIT", "fit_model", "fit_all", "best_model",
+    "log_slope",
+]
 
 
 def _loglog(k: float) -> float:
@@ -82,6 +85,10 @@ def fit_model(
         rel = np.where(prediction > 0, y / prediction - 1.0, np.inf)
     rmse = float(np.sqrt(np.mean(rel**2)))
     return ModelFit(model=model, constant=a, relative_rmse=rmse)
+
+
+#: What a report says in place of a fit when a sweep has a single ``k``.
+NO_FIT = "(a single k admits no scaling fit)"
 
 
 def fit_all(

@@ -11,15 +11,20 @@ Usage::
     python -m repro run thm51_wakeup --telemetry out/telemetry
     python -m repro stats out/telemetry              # render the artefacts
 
-Arbitrary driver keyword overrides are passed as ``--key value`` pairs;
-integers, floats and comma-separated integer tuples are auto-coerced
-(``--ks 32,64,128``).
+Driver keyword overrides are passed as ``--key value`` pairs and coerced
+from the driver's signature annotations: sequence parameters take
+comma-separated lists (``--ks 32,64,128``; ``--ks 16`` is a one-element
+sweep), and a key the driver does not accept is rejected with the list of
+keys it does.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+import typing
+from collections.abc import Sequence
 
 from repro.engine.dispatch import ENGINE_NAMES
 from repro.experiments import EXPERIMENTS, run_experiment
@@ -28,29 +33,52 @@ from repro.experiments.export import write_report_csv
 __all__ = ["main"]
 
 
-def _coerce(value: str):
-    """Best-effort string -> python value for driver overrides."""
-    if "," in value:
-        parts = [p for p in value.split(",") if p]
-        return tuple(_coerce(p) for p in parts)
-    for converter in (int, float):
-        try:
-            return converter(value)
-        except ValueError:
-            continue
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
+def _convert(text: str, kind: object) -> object:
+    """One override string as the driver parameter's annotated type.
+
+    ``Sequence[X]`` takes a comma-separated list (a single value becomes a
+    1-tuple), ``Optional[X]`` also accepts ``none``; unannotated
+    parameters receive the string as given.
+    """
+    if typing.get_origin(kind) is typing.Union:
+        if text.lower() == "none":
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if typing.get_origin(kind) is Sequence:
+        (item,) = typing.get_args(kind)
+        return tuple(_convert(part, item) for part in text.split(",") if part)
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text.lower() == "true"
+    if kind in (int, float, str):
+        return kind(text)
+    return text
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, object]:
+def _parse_overrides(experiment_id: str, pairs: list[str]) -> dict[str, object]:
+    """``--key value`` pairs as driver keyword arguments, each coerced from
+    the driver's signature; an unknown key or a malformed value exits with
+    a message naming what the driver accepts."""
     if len(pairs) % 2 != 0:
         raise SystemExit("overrides must come in --key value pairs")
+    if experiment_id not in EXPERIMENTS:
+        return {}  # run_experiment reports the unknown id
+    params = inspect.signature(EXPERIMENTS[experiment_id], eval_str=True).parameters
     overrides = {}
     for key, value in zip(pairs[::2], pairs[1::2]):
         if not key.startswith("--"):
             raise SystemExit(f"expected an option starting with --, got {key!r}")
-        overrides[key[2:].replace("-", "_")] = _coerce(value)
+        name = key[2:].replace("-", "_")
+        if name not in params:
+            accepted = ", ".join(f"--{p.replace('_', '-')}" for p in params)
+            raise SystemExit(
+                f"{experiment_id} has no option {key}; it accepts: {accepted}"
+            )
+        try:
+            overrides[name] = _convert(value, params[name].annotation)
+        except ValueError as error:
+            raise SystemExit(f"{key} {value!r}: {error}") from None
     return overrides
 
 
@@ -303,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         _export_telemetry(telemetry_dir)
         return 0
 
-    overrides = _parse_overrides(extra)
+    overrides = _parse_overrides(args.experiment, extra)
     csv_dir = args.csv
     try:
         report = run_experiment(

@@ -157,8 +157,9 @@ class RunSpec:
             object engine.  Not supported with ``fifo`` queueing.
         seed: base seed for all randomness (None = OS entropy; such a spec
             cannot be journaled).
-        label: reporting label; folded into protocol-run fingerprints to
-            disambiguate configurations a class cannot express.
+        label: reporting label (default: the protocol's name, see
+            :attr:`display_label`); folded into protocol-run fingerprints
+            to disambiguate configurations a class cannot express.
     """
 
     k: int
@@ -344,7 +345,7 @@ class RunSpec:
         passed to reuse a table already in hand, otherwise it is fetched
         from the per-process cache.  Protocol-factory runs capture the
         probe instance's public attributes (primitives and named
-        sub-objects only) plus the caller's ``label``.
+        sub-objects only) plus the :attr:`display_label`.
         """
         from repro.experiments.checkpoint import config_fingerprint
 
@@ -394,7 +395,7 @@ class RunSpec:
             self.k,
             type(probe).__name__,
             getattr(self.protocol, "protocol_name", ""),
-            self.label,
+            self.display_label,
             attrs,
             horizon,
             adv_token,

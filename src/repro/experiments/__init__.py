@@ -9,14 +9,13 @@ from repro.experiments.executor import (
 )
 from repro.experiments.harness import (
     SEED_STRIDE,
+    Cell,
+    CellRuns,
     ExperimentReport,
     config_seed,
-    repeat_protocol_runs,
-    repeat_schedule_runs,
-    run_pool,
+    fold_sample,
+    run_grid,
     run_seed,
-    sweep_protocol,
-    sweep_schedule,
     worst_sample,
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
@@ -26,16 +25,15 @@ __all__ = [
     "config_seed",
     "run_seed",
     "ExperimentReport",
+    "Cell",
+    "CellRuns",
     "RunExecutor",
     "get_default_batch_size",
     "get_default_jobs",
     "set_default_batch_size",
     "set_default_jobs",
-    "repeat_protocol_runs",
-    "repeat_schedule_runs",
-    "run_pool",
-    "sweep_protocol",
-    "sweep_schedule",
+    "fold_sample",
+    "run_grid",
     "worst_sample",
     "EXPERIMENTS",
     "run_experiment",

@@ -22,7 +22,8 @@ from repro.channel.results import StopCondition
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.experiments.harness import ExperimentReport, repeat_schedule_runs
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, fold_sample, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_ablation"]
@@ -39,47 +40,38 @@ def run_ablation(
 ) -> ExperimentReport:
     """Sweep each protocol constant at fixed ``k``."""
     adversary = UniformRandomSchedule(span=lambda kk: 2 * kk)
+
+    configs = [
+        ("NonAdaptiveWithK", f"c={c}", "latency_mean", Cell.repeated(RunSpec(
+            k=k, protocol=NonAdaptiveWithK(k, c), adversary=adversary,
+            max_rounds=3 * c * k + 3 * k + 4096,
+        ), seed, reps))
+        for c in cs
+    ] + [
+        ("SublinearDecrease", f"b={b}", "latency_mean", Cell.repeated(RunSpec(
+            k=k, protocol=SublinearDecrease(b), adversary=adversary,
+            max_rounds=int(
+                1.5 * SublinearDecrease.latency_bound_with_ack(k, max(b, 1))
+            ) + 3 * k + 4096,
+        ), seed + 101, reps))
+        for b in bs
+    ] + [
+        ("DecreaseSlowly(wakeup)", f"q={q}", "first_success_mean",
+         Cell.repeated(RunSpec(
+             k=k, protocol=DecreaseSlowly(q), adversary=adversary,
+             max_rounds=int(64 * max(q, 1.0) * k) + 4096,
+             stop=StopCondition.FIRST_SUCCESS,
+         ), seed + 202, reps))
+        for q in qs
+    ]
+    grid = run_grid(cell for *_, cell in configs)
     rows = []
-
-    for c in cs:
-        sample = repeat_schedule_runs(
-            k, lambda kk: NonAdaptiveWithK(kk, c), adversary,
-            reps=reps, seed=seed,
-            max_rounds=lambda kk: 3 * c * kk + 3 * kk + 4096,
-        )
+    for (protocol, constant, metric, _), runs in zip(configs, grid):
+        sample = fold_sample(runs)
         r = sample.row()
         rows.append({
-            "protocol": "NonAdaptiveWithK", "constant": f"c={c}",
-            "latency": r["latency_mean"], "energy": r["energy_mean"],
-            "incomplete_runs": sample.failures, "runs": sample.runs,
-        })
-
-    for b in bs:
-        sample = repeat_schedule_runs(
-            k, lambda kk: SublinearDecrease(b), adversary,
-            reps=reps, seed=seed + 101,
-            max_rounds=lambda kk: int(
-                1.5 * SublinearDecrease.latency_bound_with_ack(kk, max(b, 1))
-            ) + 3 * kk + 4096,
-        )
-        r = sample.row()
-        rows.append({
-            "protocol": "SublinearDecrease", "constant": f"b={b}",
-            "latency": r["latency_mean"], "energy": r["energy_mean"],
-            "incomplete_runs": sample.failures, "runs": sample.runs,
-        })
-
-    for q in qs:
-        sample = repeat_schedule_runs(
-            k, lambda kk: DecreaseSlowly(q), adversary,
-            reps=reps, seed=seed + 202,
-            max_rounds=lambda kk: int(64 * max(q, 1.0) * kk) + 4096,
-            stop=StopCondition.FIRST_SUCCESS,
-        )
-        r = sample.row()
-        rows.append({
-            "protocol": "DecreaseSlowly(wakeup)", "constant": f"q={q}",
-            "latency": r["first_success_mean"], "energy": r["energy_mean"],
+            "protocol": protocol, "constant": constant,
+            "latency": r[metric], "energy": r["energy_mean"],
             "incomplete_runs": sample.failures, "runs": sample.runs,
         })
 

@@ -28,9 +28,12 @@ from repro.core.protocol import ScheduleProtocol
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
-    repeat_protocol_runs,
+    fold_sample,
+    run_grid,
     worst_sample,
 )
 from repro.util.ascii_chart import render_table
@@ -58,38 +61,39 @@ def run_adaptive_adversary_check(
         UniformRandomSchedule(span=lambda kk: 2 * kk),
     ]
 
-    def horizon_for(name):
+    def horizon_for(name, kk):
         if name == "SublinearDecrease":
-            return lambda kk: int(
-                1.5 * SublinearDecrease.latency_bound_no_ack(kk, b)
-            ) + 8192
-        return lambda kk: 800 * kk + 8192
+            return int(1.5 * SublinearDecrease.latency_bound_no_ack(kk, b)) + 8192
+        return 800 * kk + 8192
 
     configs = [
         ("NonAdaptiveWithK", lambda: ScheduleProtocol(NonAdaptiveWithK(k, c))),
         ("SublinearDecrease", lambda: ScheduleProtocol(SublinearDecrease(b))),
         ("AdaptiveNoK", lambda: AdaptiveNoK()),
     ]
+    by_name = (("adaptive", adaptive_pool), ("oblivious", oblivious_pool))
+    cells = [
+        Cell.repeated(
+            RunSpec(k=k, protocol=factory, adversary=adversary,
+                    max_rounds=horizon_for(name, k),
+                    label=f"{name}@{adversary.name}"),
+            seed + 100 * j, reps,
+        )
+        for name, factory in configs
+        for _, pool in by_name
+        for j, adversary in enumerate(pool)
+    ]
+    samples = iter(fold_sample(runs) for runs in run_grid(cells))
     rows = []
-    for name, factory in configs:
+    for name, _ in configs:
         pools = {}
-        for pool_name, pool in (("adaptive", adaptive_pool),
-                                ("oblivious", oblivious_pool)):
-            samples = []
-            for j, adversary in enumerate(pool):
-                samples.append(
-                    repeat_protocol_runs(
-                        k, factory, adversary,
-                        reps=reps, seed=seed + 100 * j,
-                        max_rounds=horizon_for(name),
-                        label=f"{name}@{adversary.name}",
-                    )
-                )
-            worst = worst_sample(samples, metric="latency_mean")
+        for pool_name, pool in by_name:
+            pooled = [next(samples) for _ in pool]
+            worst = worst_sample(pooled, metric="latency_mean")
             pools[pool_name] = {
                 "latency": worst.row()["latency_mean"],
-                "failures": sum(s.failures for s in samples),
-                "runs": sum(s.runs for s in samples),
+                "failures": sum(s.failures for s in pooled),
+                "runs": sum(s.runs for s in pooled),
                 "worst_adversary": worst.label.split("@", 1)[-1],
             }
         rows.append(

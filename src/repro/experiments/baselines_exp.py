@@ -28,10 +28,12 @@ from repro.channel.results import StopCondition
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
-    repeat_protocol_runs,
-    repeat_schedule_runs,
+    fold_sample,
+    run_grid,
 )
 from repro.experiments.table1 import _known_k_rounds, _sublinear_rounds_factory
 from repro.util.ascii_chart import render_table
@@ -50,9 +52,44 @@ def run_baseline_compare(
     """Head-to-head at one contention size, static and dynamic workloads."""
     dynamic = UniformRandomSchedule(span=lambda kk: 2 * kk)
     static = StaticSchedule()
-    rows = []
+    adaptive_reps = max(2, reps // 2)
+    entries: list[tuple[str, str, Cell]] = []
 
-    def add(label, workload, sample):
+    def add(label, workload, first, n, adversary, protocol, **spec_kwargs):
+        spec = RunSpec(k=k, protocol=protocol, adversary=adversary, **spec_kwargs)
+        entries.append((label, workload, Cell.repeated(spec, first, n)))
+
+    for workload_name, adversary in (("static", static), ("dynamic", dynamic)):
+        add("NonAdaptiveWithK", workload_name, seed, reps, adversary,
+            NonAdaptiveWithK(k, c), max_rounds=_known_k_rounds(k))
+        add("SublinearDecrease", workload_name, seed + 1, reps, adversary,
+            SublinearDecrease(b),
+            max_rounds=_sublinear_rounds_factory(b, with_ack=True)(k))
+        add("Aloha(1/k)", workload_name, seed + 2, reps, adversary,
+            SlottedAlohaKnownK(k))
+        add("Aloha(p=0.05)", workload_name, seed + 3, reps, adversary,
+            SlottedAlohaFixed(0.05))
+        add("AdaptiveNoK", workload_name, seed + 4, adaptive_reps, adversary,
+            lambda: AdaptiveNoK())
+        add("BEB", workload_name, seed + 5, adaptive_reps, adversary,
+            lambda: BinaryExponentialBackoff())
+        add("PolyBackoff(2)", workload_name, seed + 6, adaptive_reps, adversary,
+            lambda: PolynomialBackoff(2))
+        add("SplittingTree(CD)", workload_name, seed + 7, adaptive_reps, adversary,
+            lambda: SplittingTree(), feedback=FeedbackModel.COLLISION_DETECTION)
+
+    # TDMA: aligned under static starts, breaks under offsets.
+    add("TDMA", "static", seed + 8, 1, static, tdma_factory(k),
+        max_rounds=4 * k + 64)
+    add("TDMA", "dynamic(misaligned)", seed + 9, 1,
+        UniformRandomSchedule(span=lambda kk: kk // 2), tdma_factory(k),
+        max_rounds=16 * k + 64)
+
+    rows = []
+    for (label, workload, _), runs in zip(
+        entries, run_grid(cell for _, _, cell in entries)
+    ):
+        sample = fold_sample(runs)
         r = sample.row()
         rows.append(
             {
@@ -63,43 +100,6 @@ def run_baseline_compare(
                 "failures": sample.failures,
             }
         )
-
-    for workload_name, adversary in (("static", static), ("dynamic", dynamic)):
-        add("NonAdaptiveWithK", workload_name, repeat_schedule_runs(
-            k, lambda kk: NonAdaptiveWithK(kk, c), adversary,
-            reps=reps, seed=seed, max_rounds=_known_k_rounds))
-        add("SublinearDecrease", workload_name, repeat_schedule_runs(
-            k, lambda kk: SublinearDecrease(b), adversary,
-            reps=reps, seed=seed + 1,
-            max_rounds=_sublinear_rounds_factory(b, with_ack=True)))
-        add("Aloha(1/k)", workload_name, repeat_schedule_runs(
-            k, lambda kk: SlottedAlohaKnownK(kk), adversary,
-            reps=reps, seed=seed + 2))
-        add("Aloha(p=0.05)", workload_name, repeat_schedule_runs(
-            k, lambda kk: SlottedAlohaFixed(0.05), adversary,
-            reps=reps, seed=seed + 3))
-        add("AdaptiveNoK", workload_name, repeat_protocol_runs(
-            k, lambda: AdaptiveNoK(), adversary,
-            reps=max(2, reps // 2), seed=seed + 4))
-        add("BEB", workload_name, repeat_protocol_runs(
-            k, lambda: BinaryExponentialBackoff(), adversary,
-            reps=max(2, reps // 2), seed=seed + 5))
-        add("PolyBackoff(2)", workload_name, repeat_protocol_runs(
-            k, lambda: PolynomialBackoff(2), adversary,
-            reps=max(2, reps // 2), seed=seed + 6))
-        add("SplittingTree(CD)", workload_name, repeat_protocol_runs(
-            k, lambda: SplittingTree(), adversary,
-            reps=max(2, reps // 2), seed=seed + 7,
-            feedback=FeedbackModel.COLLISION_DETECTION))
-
-    # TDMA: aligned under static starts, breaks under offsets.
-    add("TDMA", "static", repeat_protocol_runs(
-        k, tdma_factory(k), static,
-        reps=1, seed=seed + 8, max_rounds=lambda kk: 4 * kk + 64))
-    tdma_dynamic = repeat_protocol_runs(
-        k, tdma_factory(k), UniformRandomSchedule(span=lambda kk: kk // 2),
-        reps=1, seed=seed + 9, max_rounds=lambda kk: 16 * kk + 64)
-    add("TDMA", "dynamic(misaligned)", tdma_dynamic)
 
     table = render_table(
         ["protocol", "workload", "latency", "energy", "failures"],

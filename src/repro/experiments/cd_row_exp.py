@@ -19,15 +19,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.adversary.oblivious import StaticSchedule, UniformRandomSchedule
-from repro.analysis.scaling import fit_all
+from repro.analysis.scaling import NO_FIT, fit_all
 from repro.baselines.cd_adaptive import CdAimdProtocol
 from repro.channel.feedback import FeedbackModel
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
     config_seed,
-    repeat_protocol_runs,
-    run_pool,
+    fold_sample,
+    run_grid,
     worst_sample,
 )
 from repro.util.ascii_chart import render_table
@@ -47,32 +49,23 @@ def run_cd_row(
     cd_latencies, nocd_latencies = [], []
     # Interleaved configuration slots: even indices CD, odd indices no-CD,
     # SEED_STRIDE-spaced so no two configurations share repetition seeds.
-    cd_tasks = [
-        lambda k=k, adversary=adversary, s=config_seed(
-            seed, 2 * (i * len(pool) + j)
-        ): repeat_protocol_runs(
-            k, lambda: CdAimdProtocol(), adversary,
-            reps=reps, seed=s,
-            feedback=FeedbackModel.COLLISION_DETECTION,
-            label="CdAimd",
-        )
-        for i, k in enumerate(ks)
-        for j, adversary in enumerate(pool)
-    ]
-    nocd_tasks = [
-        lambda k=k, adversary=adversary, s=config_seed(
-            seed, 2 * (i * len(pool) + j) + 1
-        ): repeat_protocol_runs(
-            k, lambda: AdaptiveNoK(), adversary,
-            reps=max(2, reps // 2),
-            seed=s,
-            label="AdaptiveNoK",
-        )
-        for i, k in enumerate(ks)
-        for j, adversary in enumerate(pool)
-    ]
-    flat = run_pool(cd_tasks + nocd_tasks)
-    cd_flat, nocd_flat = flat[: len(cd_tasks)], flat[len(cd_tasks) :]
+    cd_cells, nocd_cells = [], []
+    for i, k in enumerate(ks):
+        for j, adversary in enumerate(pool):
+            slot = 2 * (i * len(pool) + j)
+            cd_seed, nocd_seed = config_seed(seed, slot), config_seed(seed, slot + 1)
+            cd_cells.append(Cell.repeated(
+                RunSpec(k=k, protocol=lambda: CdAimdProtocol(), adversary=adversary,
+                        feedback=FeedbackModel.COLLISION_DETECTION, label="CdAimd"),
+                cd_seed, reps,
+            ))
+            nocd_cells.append(Cell.repeated(
+                RunSpec(k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
+                        label="AdaptiveNoK"),
+                nocd_seed, max(2, reps // 2),
+            ))
+    flat = [fold_sample(runs) for runs in run_grid(cd_cells + nocd_cells)]
+    cd_flat, nocd_flat = flat[: len(cd_cells)], flat[len(cd_cells) :]
     for i, k in enumerate(ks):
         cd_samples = cd_flat[i * len(pool) : (i + 1) * len(pool)]
         nocd_samples = nocd_flat[i * len(pool) : (i + 1) * len(pool)]
@@ -91,8 +84,14 @@ def run_cd_row(
             }
         )
 
-    cd_fit = fit_all(list(ks), cd_latencies, models=("k", "k log k"))[0]
-    nocd_fit = fit_all(list(ks), nocd_latencies, models=("k", "k log k"))[0]
+    fit_line = NO_FIT
+    if len(ks) > 1:
+        cd_fit = fit_all(list(ks), cd_latencies, models=("k", "k log k"))[0]
+        nocd_fit = fit_all(list(ks), nocd_latencies, models=("k", "k log k"))[0]
+        fit_line = (
+            f"CD-AIMD fit: ~ {cd_fit.constant:.3g} * {cd_fit.model};"
+            f" AdaptiveNoK fit: ~ {nocd_fit.constant:.3g} * {nocd_fit.model}."
+        )
     table = render_table(
         ["k", "CD-AIMD latency", "/k", "AdaptiveNoK latency", "/k", "gap"],
         [[r["k"], r["cd_latency"], r["cd_latency_over_k"], r["nocd_latency"],
@@ -104,8 +103,7 @@ def run_cd_row(
             " adaptive protocol ==",
             table,
             "",
-            f"CD-AIMD fit: ~ {cd_fit.constant:.3g} * {cd_fit.model};"
-            f" AdaptiveNoK fit: ~ {nocd_fit.constant:.3g} * {nocd_fit.model}.",
+            fit_line,
             "Both linear — the paper's point: dropping collision detection"
             " costs only a constant factor, not the asymptotics.",
         ]

@@ -21,8 +21,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_estimate_robustness"]
@@ -46,34 +46,38 @@ def run_estimate_robustness(
     from repro.adversary.oblivious import StaticSchedule
 
     adversary = StaticSchedule()
-    rows = []
-    for factor in factors:
-        k_hat = max(1, int(round(factor * k)))
-        schedule = NonAdaptiveWithK(k_hat, c)
-        # Theorem 3.1's ladder length is a function of the estimate, so the
-        # horizon is an experiment parameter here, not a default.
-        horizon = 3 * c * k_hat + 3 * k + 4096
-        base = RunSpec(
-            k=k, protocol=schedule, adversary=adversary, max_rounds=horizon
+    k_hats = [max(1, int(round(factor * k))) for factor in factors]
+    # Theorem 3.1's ladder length is a function of the estimate, so the
+    # horizon is an experiment parameter here, not a default.
+    cells = [
+        Cell.repeated(
+            RunSpec(
+                k=k,
+                protocol=NonAdaptiveWithK(k_hat, c),
+                adversary=adversary,
+                max_rounds=3 * c * k_hat + 3 * k + 4096,
+            ),
+            seed,
+            reps,
         )
-        latencies, energies, failures = [], [], 0
-        delivered = []
-        for r in range(reps):
-            result = execute(base.with_seed(seed + r))
-            delivered.append(result.success_count)
-            if result.completed:
-                latencies.append(result.max_latency)
-                energies.append(result.total_transmissions)
-            else:
-                failures += 1
+        for k_hat in k_hats
+    ]
+    rows = []
+    for factor, k_hat, runs in zip(factors, k_hats, run_grid(cells)):
+        # Contention resolution means every station delivers: a run that
+        # stops with stations switched off undelivered is a failure too.
+        resolved = [r for r in runs.results if r.success_count == k]
+        delivered = [r.success_count for r in runs.results]
         rows.append(
             {
                 "k_hat_over_k": factor,
                 "k_hat": k_hat,
-                "latency": float(np.mean(latencies)) if latencies else float("nan"),
-                "energy": float(np.mean(energies)) if energies else float("nan"),
+                "latency": float(np.mean([r.max_latency for r in resolved]))
+                if resolved else float("nan"),
+                "energy": float(np.mean([r.total_transmissions for r in resolved]))
+                if resolved else float("nan"),
                 "delivered_fraction": float(np.mean(delivered)) / k,
-                "failures": failures,
+                "failures": reps - len(resolved),
                 "runs": reps,
             }
         )

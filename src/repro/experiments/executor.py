@@ -64,9 +64,9 @@ counted, never silent: per-map counts land on the executor
 ``last_degraded``) and process-wide totals in :func:`execution_stats`,
 which the registry copies onto ``ExperimentReport.timings``.
 
-Nesting: a task that itself builds a :class:`RunExecutor` (e.g. a pool
-driver whose per-adversary task calls ``repeat_schedule_runs``) runs that
-inner executor serially inside the worker — process pools never nest.
+Nesting: a task that itself builds a :class:`RunExecutor` (e.g. one that
+calls :func:`~repro.experiments.harness.run_grid`) runs that inner
+executor serially inside the worker — process pools never nest.
 
 On platforms without ``fork`` (Windows), execution silently degrades to
 serial; results are identical, only slower.

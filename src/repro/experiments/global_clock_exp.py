@@ -18,13 +18,15 @@ from repro.adversary.oblivious import (
     TwoWavesSchedule,
     UniformRandomSchedule,
 )
-from repro.analysis.scaling import fit_all
+from repro.analysis.scaling import NO_FIT, fit_all
 from repro.core.protocols.global_clock import GlobalClockUFR
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
     config_seed,
-    repeat_protocol_runs,
-    run_pool,
+    fold_sample,
+    run_grid,
     worst_sample,
 )
 from repro.util.ascii_chart import render_table
@@ -45,21 +47,18 @@ def run_global_clock(
         UniformRandomSchedule(span=lambda k: 2 * k),
         TwoWavesSchedule(delay=lambda k: 3 * k),
     ]
-    tasks = [
-        lambda k=k, adversary=adversary, s=config_seed(
-            seed, i * len(pool) + j
-        ): repeat_protocol_runs(
-            k,
-            lambda: GlobalClockUFR(q),
-            adversary,
-            reps=reps,
-            seed=s,
-            label=f"GlobalClockUFR@{adversary.name}",
-        )
-        for i, k in enumerate(ks)
-        for j, adversary in enumerate(pool)
-    ]
-    flat_samples = run_pool(tasks)
+    cells = []
+    for i, k in enumerate(ks):
+        for j, adversary in enumerate(pool):
+            first = config_seed(seed, i * len(pool) + j)
+            spec = RunSpec(
+                k=k,
+                protocol=lambda: GlobalClockUFR(q),
+                adversary=adversary,
+                label=f"GlobalClockUFR@{adversary.name}",
+            )
+            cells.append(Cell.repeated(spec, first, reps))
+    flat_samples = [fold_sample(runs) for runs in run_grid(cells)]
     rows = []
     worst_latencies = []
     for i, k in enumerate(ks):
@@ -77,7 +76,13 @@ def run_global_clock(
             }
         )
 
-    fits = fit_all(list(ks), worst_latencies, models=("k", "k log k", "k log^2 k"))
+    fit_line = NO_FIT
+    if len(ks) > 1:
+        fits = fit_all(list(ks), worst_latencies, models=("k", "k log k", "k log^2 k"))
+        fit_line = (
+            f"best fit: ~ {fits[0].constant:.3g} * {fits[0].model}"
+            f" (rel. RMSE {fits[0].relative_rmse:.3f}); conjecture: O(k)"
+        )
     table = render_table(
         ["k", "latency (worst pool)", "latency/k", "tx/station", "failures"],
         [[r["k"], r["latency"], r["latency_over_k"], r["energy_per_station"],
@@ -89,8 +94,7 @@ def run_global_clock(
             "(model extension: global clock + acknowledgements heard by all)",
             table,
             "",
-            f"best fit: ~ {fits[0].constant:.3g} * {fits[0].model}"
-            f" (rel. RMSE {fits[0].relative_rmse:.3f}); conjecture: O(k)",
+            fit_line,
         ]
     )
     return ExperimentReport("ext_global_clock", "Global-clock conjecture", rows, text)

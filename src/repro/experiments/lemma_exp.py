@@ -29,84 +29,95 @@ from repro.adversary.oblivious import (
 from repro.analysis.sigma import sigma_trace
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.adversary.base import FixedSchedule
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_lemma_validation"]
 
 
-def _sigma_invariant_rows(k, c, reps, seed):
-    """Lemma 3.6: fraction of rounds with sigma[t] < 1 per adversary."""
+def _sigma_invariant_cells(k, c, reps, seed):
+    """Lemma 3.6: one cell per adversary in the pool."""
     schedule = NonAdaptiveWithK(k, c)
     horizon = 3 * c * k + 3 * k + 512
-    rows = []
     pool = [
         StaticSchedule(),
         UniformRandomSchedule(span=lambda kk: 2 * kk),
         StaggeredSchedule(gap=2),
         TwoWavesSchedule(delay=lambda kk: 3 * kk),
     ]
-    for adversary in pool:
-        fractions, peaks = [], []
-        for r in range(reps):
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=adversary,
-                max_rounds=horizon, seed=seed + r,
-            ))
-            wake = [rec.wake_round for rec in result.records]
-            offs = [rec.switch_off_round for rec in result.records]
-            last = max(
-                (rec.first_success_round or horizon for rec in result.records),
-                default=horizon,
-            )
-            trace = sigma_trace(wake, schedule, min(horizon, last), offs)
-            busy = trace[trace > 0]
-            if busy.size == 0:
-                continue
-            fractions.append(float(np.mean(busy < 1.0)))
-            peaks.append(float(busy.max()))
-        rows.append(
-            {
-                "lemma": "3.6 sigma<1",
-                "case": adversary.name,
-                "value": float(np.mean(fractions)),
-                "detail": f"peak sigma {np.mean(peaks):.2f}",
-            }
+    return [
+        Cell.repeated(
+            RunSpec(k=k, protocol=schedule, adversary=adversary, max_rounds=horizon),
+            seed,
+            reps,
         )
-    return rows
+        for adversary in pool
+    ]
 
 
-def _fact2_rows(k, c, reps, seed):
-    """Lemma Fact2: conditional success frequency of attempts vs q_v/4.
+def _sigma_invariant_row(runs):
+    """Lemma 3.6: fraction of rounds with sigma[t] < 1 for one adversary."""
+    schedule, horizon = runs.spec.schedule, runs.spec.max_rounds
+    fractions, peaks = [], []
+    for result in runs.results:
+        wake = [rec.wake_round for rec in result.records]
+        offs = [rec.switch_off_round for rec in result.records]
+        last = max(
+            (rec.first_success_round or horizon for rec in result.records),
+            default=horizon,
+        )
+        trace = sigma_trace(wake, schedule, min(horizon, last), offs)
+        busy = trace[trace > 0]
+        if busy.size == 0:
+            continue
+        fractions.append(float(np.mean(busy < 1.0)))
+        peaks.append(float(busy.max()))
+    return {
+        "lemma": "3.6 sigma<1",
+        "case": runs.spec.adversary.name,
+        "value": float(np.mean(fractions)),
+        "detail": f"peak sigma {np.mean(peaks):.2f}",
+    }
 
-    Uses single-rep instrumented object-engine runs at modest k: we count,
-    over transmitting (station, round) pairs with concurrent sigma < 1,
-    the fraction that were acked, and compare with the lemma's floor of
-    1/4 (after normalising by q_v the floor is q_v/4; conditioning on the
-    attempt removes the q_v factor).
+
+def _fact2_cells(k, c, reps, seed):
+    """Lemma Fact2: one traced run per repetition, each on its own drawn
+    wake pattern.
+
+    ``record_trace`` forces the object engine through dispatch (the
+    schedule is wrapped in ScheduleProtocol by the spec).
     """
-    from repro.adversary.base import FixedSchedule
-
     schedule = NonAdaptiveWithK(k, c)
     horizon = 3 * c * k + 3 * k + 512
-    attempts = 0
-    successes = 0
     rng = np.random.default_rng(seed)
+    cells = []
     for r in range(reps):
         wake = sorted(int(x) for x in rng.integers(0, 2 * k, size=k))
-        # record_trace forces the object engine through dispatch; the
-        # schedule is wrapped in ScheduleProtocol by the spec.
-        result = execute(RunSpec(
-            k=k,
-            protocol=schedule,
-            adversary=FixedSchedule(wake),
-            max_rounds=horizon,
-            seed=seed + r,
-            record_trace=True,
-        ))
+        spec = RunSpec(
+            k=k, protocol=schedule, adversary=FixedSchedule(wake),
+            max_rounds=horizon, record_trace=True,
+        )
+        cells.append(Cell(spec, (seed + r,)))
+    return cells
+
+
+def _fact2_row(grid):
+    """Lemma Fact2: conditional success frequency of attempts vs q_v/4.
+
+    Over transmitting (station, round) pairs with concurrent sigma < 1, the
+    fraction that were acked, compared with the lemma's floor of 1/4
+    (after normalising by q_v the floor is q_v/4; conditioning on the
+    attempt removes the q_v factor).
+    """
+    attempts = 0
+    successes = 0
+    for runs in grid:
+        result = runs.results[0]
+        wake = [rec.wake_round for rec in result.records]
         offs = [rec.switch_off_round for rec in result.records]
-        trace = sigma_trace(wake, schedule, result.rounds_executed, offs)
+        trace = sigma_trace(wake, runs.spec.schedule, result.rounds_executed, offs)
         for event in result.trace:
             t = event.round_index
             if t > len(trace) or trace[t - 1] >= 1.0:
@@ -115,14 +126,12 @@ def _fact2_rows(k, c, reps, seed):
             if event.winner is not None:
                 successes += 1
     rate = successes / attempts if attempts else float("nan")
-    return [
-        {
-            "lemma": "Fact2 success>=1/4",
-            "case": f"attempts in sigma<1 rounds (n={attempts})",
-            "value": rate,
-            "detail": "lemma floor 0.25",
-        }
-    ]
+    return {
+        "lemma": "Fact2 success>=1/4",
+        "case": f"attempts in sigma<1 rounds (n={attempts})",
+        "value": rate,
+        "detail": "lemma floor 0.25",
+    }
 
 
 def _fact41_rows(b):
@@ -153,9 +162,11 @@ def run_lemma_validation(
     seed: int = 36,
 ) -> ExperimentReport:
     """Measure the internal lemmas on instrumented executions."""
-    rows = []
-    rows.extend(_sigma_invariant_rows(k, c, reps, seed))
-    rows.extend(_fact2_rows(min(k, 128), c, max(2, reps // 2), seed + 100))
+    sigma_cells = _sigma_invariant_cells(k, c, reps, seed)
+    fact2_cells = _fact2_cells(min(k, 128), c, max(2, reps // 2), seed + 100)
+    grid = run_grid(sigma_cells + fact2_cells)
+    rows = [_sigma_invariant_row(runs) for runs in grid[: len(sigma_cells)]]
+    rows.append(_fact2_row(grid[len(sigma_cells) :]))
     rows.extend(_fact41_rows(b))
 
     table = render_table(

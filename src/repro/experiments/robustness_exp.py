@@ -40,11 +40,7 @@ from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
 from repro.core.spec import RunSpec
-from repro.experiments.harness import (
-    ExperimentReport,
-    config_seed,
-    repeat_spec_runs,
-)
+from repro.experiments.harness import Cell, ExperimentReport, config_seed, run_grid
 from repro.faults import AckLoss, EnergyBudget, FaultModel, SlotNoise
 from repro.util.ascii_chart import line_chart, render_table
 
@@ -128,10 +124,6 @@ def run_robustness(
     c: int = 6,
     b: int = 4,
     seed: int = 20260808,
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> ExperimentReport:
     """Fault-intensity x protocol grid with graceful-degradation ranking.
 
@@ -154,12 +146,9 @@ def run_robustness(
     horizon = horizon_factor * k
     protocols = _protocol_grid(k, c=c, b=b)
 
-    rows: list[dict[str, object]] = []
-    metrics: dict[str, list[dict[str, float]]] = {}
-    for p_index, (name, protocol) in enumerate(protocols):
-        metrics[name] = []
-        for r_index, rate in enumerate(rates):
-            base = RunSpec(
+    cells = [
+        Cell.repeated(
+            RunSpec(
                 k=k,
                 protocol=protocol,
                 adversary=adversary,
@@ -167,18 +156,20 @@ def run_robustness(
                 max_rounds=horizon,
                 faults=_fault_model(rate, ack_fraction),
                 label=name,
-            )
-            cell_index = p_index * len(rates) + r_index
-            results = repeat_spec_runs(
-                base,
-                reps=reps,
-                seed=config_seed(seed, cell_index),
-                jobs=jobs,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                batch_size=batch_size,
-            )
-            cell = _cell_metrics(results, horizon)
+            ),
+            config_seed(seed, p_index * len(rates) + r_index),
+            reps,
+        )
+        for p_index, (name, protocol) in enumerate(protocols)
+        for r_index, rate in enumerate(rates)
+    ]
+    grid = iter(run_grid(cells))
+    rows: list[dict[str, object]] = []
+    metrics: dict[str, list[dict[str, float]]] = {}
+    for name, _ in protocols:
+        metrics[name] = []
+        for rate in rates:
+            cell = _cell_metrics(next(grid).results, horizon)
             metrics[name].append(cell)
             rows.append({"protocol": name, "fault_rate": rate, **cell})
 
@@ -247,31 +238,29 @@ def run_robustness(
     # that can die (object engine only — see repro.engine.dispatch).
     if energy_charges is not None and rates[-1] > 0.0:
         worst = rates[-1]
-        budget_rows = []
-        for p_index, (name, protocol) in enumerate(protocols):
-            base = RunSpec(
-                k=k,
-                protocol=protocol,
-                adversary=adversary,
-                stop=StopCondition.ALL_SWITCHED_OFF,
-                max_rounds=horizon,
-                faults=FaultModel(
-                    noise=SlotNoise(worst),
-                    ack_loss=AckLoss(worst * ack_fraction),
-                    energy_budget=EnergyBudget(energy_charges),
+        budget_cells = [
+            Cell.repeated(
+                RunSpec(
+                    k=k,
+                    protocol=protocol,
+                    adversary=adversary,
+                    stop=StopCondition.ALL_SWITCHED_OFF,
+                    max_rounds=horizon,
+                    faults=FaultModel(
+                        noise=SlotNoise(worst),
+                        ack_loss=AckLoss(worst * ack_fraction),
+                        energy_budget=EnergyBudget(energy_charges),
+                    ),
+                    label=f"{name}+budget",
                 ),
-                label=f"{name}+budget",
+                config_seed(seed, len(protocols) * len(rates) + p_index),
+                reps,
             )
-            results = repeat_spec_runs(
-                base,
-                reps=reps,
-                seed=config_seed(seed, len(protocols) * len(rates) + p_index),
-                jobs=jobs,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                batch_size=batch_size,
-            )
-            cell = _cell_metrics(results, horizon)
+            for p_index, (name, protocol) in enumerate(protocols)
+        ]
+        budget_rows = []
+        for (name, _), runs in zip(protocols, run_grid(budget_cells)):
+            cell = _cell_metrics(runs.results, horizon)
             unbudgeted = metrics[name][-1]
             budget_rows.append(
                 [name, cell["delivered"], unbudgeted["delivered"],

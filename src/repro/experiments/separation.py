@@ -29,12 +29,13 @@ from repro.adversary.oblivious import StaticSchedule
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
     config_seed,
-    repeat_protocol_runs,
-    repeat_schedule_runs,
-    run_pool,
+    fold_sample,
+    run_grid,
     worst_sample,
 )
 from repro.experiments.table1 import (
@@ -48,15 +49,6 @@ from repro.util.ascii_chart import render_table
 __all__ = ["run_separation"]
 
 
-def _worst_latency(k, runner, seed):
-    tasks = [
-        lambda adv=adv, s=config_seed(seed, j): runner(k, adv, s)
-        for j, adv in enumerate(oblivious_pool())
-    ]
-    samples = run_pool(tasks)
-    return worst_sample(samples, metric="latency_mean").row()["latency_mean"]
-
-
 def run_separation(
     ks: Sequence[int] = (32, 64, 128, 256, 512),
     *,
@@ -67,64 +59,66 @@ def run_separation(
     include_adaptive: bool = True,
 ) -> ExperimentReport:
     """Latency ratios: unknown-k / known-k and adaptive / known-k."""
-    rows = []
+    sublinear_rounds = _sublinear_rounds_factory(b, with_ack=True)
+    pool = oblivious_pool()
+    adaptive_reps = max(2, reps // 2)
+    cells = []
     for i, k in enumerate(ks):
         # Each sweep point owns 16 SEED_STRIDE-spaced configuration slots:
         # 0-3 known-k pool, 4-7 unknown-k pool, 8-11 adaptive pool,
         # 12-13 static controls.  No two configurations can share a
         # repetition seed, whatever ``reps`` is.
         base_seed = config_seed(seed, 16 * i)
-        known = _worst_latency(
-            k,
-            lambda kk, adv, s: repeat_schedule_runs(
-                kk, lambda x: NonAdaptiveWithK(x, c), adv,
-                reps=reps, seed=s, max_rounds=_known_k_rounds,
-            ),
-            base_seed,
-        )
-        unknown = _worst_latency(
-            k,
-            lambda kk, adv, s: repeat_schedule_runs(
-                kk, lambda x: SublinearDecrease(b), adv,
-                reps=reps, seed=s,
-                max_rounds=_sublinear_rounds_factory(b, with_ack=True),
-            ),
-            config_seed(base_seed, 4),
-        )
+
+        def known(adversary):
+            return RunSpec(k=k, protocol=NonAdaptiveWithK(k, c), adversary=adversary,
+                           max_rounds=_known_k_rounds(k))
+
+        def unknown(adversary):
+            return RunSpec(k=k, protocol=SublinearDecrease(b), adversary=adversary,
+                           max_rounds=sublinear_rounds(k))
+
+        def adaptive(adversary):
+            return RunSpec(k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
+                           max_rounds=_adaptive_rounds(k))
+
+        slots = [(known, 0, reps), (unknown, 4, reps)]
+        if include_adaptive:
+            slots.append((adaptive, 8, adaptive_reps))
+        for spec_for, offset, n in slots:
+            for j, adversary in enumerate(pool):
+                first = config_seed(base_seed, offset + j)
+                cells.append(Cell.repeated(spec_for(adversary), first, n))
+        # Static-model control at the same k (simultaneous starts).
+        for spec_for, slot in ((known, 12), (unknown, 13)):
+            first = config_seed(base_seed, slot)
+            cells.append(Cell.repeated(spec_for(StaticSchedule()), first, reps))
+
+    samples = iter(fold_sample(runs) for runs in run_grid(cells))
+
+    def worst_latency() -> float:
+        pooled = [next(samples) for _ in pool]
+        return worst_sample(pooled, metric="latency_mean").row()["latency_mean"]
+
+    rows = []
+    for k in ks:
+        known_latency, unknown_latency = worst_latency(), worst_latency()
         row = {
             "k": k,
-            "known_k": known,
-            "unknown_k": unknown,
-            "ratio_unknown/known": unknown / known,
+            "known_k": known_latency,
+            "unknown_k": unknown_latency,
+            "ratio_unknown/known": unknown_latency / known_latency,
             "log2^2(k)/loglog2(k)": math.log2(k) ** 2
             / max(1.0, math.log2(math.log2(k))),
         }
         if include_adaptive:
-            adaptive = _worst_latency(
-                k,
-                lambda kk, adv, s: repeat_protocol_runs(
-                    kk, lambda: AdaptiveNoK(), adv,
-                    reps=max(2, reps // 2), seed=s,
-                    max_rounds=_adaptive_rounds,
-                ),
-                config_seed(base_seed, 8),
-            )
-            row["adaptive"] = adaptive
-            row["ratio_adaptive/known"] = adaptive / known
-        rows.append(row)
-
-        # Static-model control at the same k (simultaneous starts).
-        static_known = repeat_schedule_runs(
-            k, lambda x: NonAdaptiveWithK(x, c), StaticSchedule(),
-            reps=reps, seed=config_seed(base_seed, 12),
-            max_rounds=_known_k_rounds,
-        ).row()["latency_mean"]
-        static_unknown = repeat_schedule_runs(
-            k, lambda x: SublinearDecrease(b), StaticSchedule(),
-            reps=reps, seed=config_seed(base_seed, 13),
-            max_rounds=_sublinear_rounds_factory(b, with_ack=True),
-        ).row()["latency_mean"]
+            adaptive_latency = worst_latency()
+            row["adaptive"] = adaptive_latency
+            row["ratio_adaptive/known"] = adaptive_latency / known_latency
+        static_known = next(samples).row()["latency_mean"]
+        static_unknown = next(samples).row()["latency_mean"]
         row["static_ratio"] = static_unknown / static_known
+        rows.append(row)
 
     headers = ["k", "known_k", "unknown_k", "ratio_unknown/known", "static_ratio"]
     if include_adaptive:

@@ -26,27 +26,11 @@ from repro.baselines.hybrid_gfl import HybridEstimateSplit
 from repro.baselines.splitting import SplittingTree
 from repro.channel.feedback import FeedbackModel
 from repro.core.protocols.suniform import SUniform
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_static_constants"]
-
-
-def _measure(k, factory, adversary, feedback, reps, seed, horizon_factor=None):
-    rounds, failures = [], 0
-    for r in range(reps):
-        result = execute(RunSpec(
-            k=k, protocol=factory, adversary=adversary, feedback=feedback,
-            max_rounds=horizon_factor * k + 4096 if horizon_factor else None,
-            seed=seed + r,
-        ))
-        if result.completed:
-            rounds.append(result.rounds_executed)
-        else:
-            failures += 1
-    mean = float(np.mean(rounds)) if rounds else float("nan")
-    return mean, failures
 
 
 def run_static_constants(
@@ -64,33 +48,33 @@ def run_static_constants(
         ("Sawtooth/SUniform (O(k), no CD)", lambda: SUniform(),
          FeedbackModel.ACK_ONLY),
     ]
-    rows = []
-    for i, k in enumerate(ks):
-        for j, (name, factory, feedback) in enumerate(configs):
-            mean, failures = _measure(
-                k, factory, StaticSchedule(), feedback, reps,
-                seed + 1000 * i + 100 * j,
-            )
-            rows.append(
-                {
-                    "algorithm": name, "workload": "static", "k": k,
-                    "rounds_over_k": mean / k, "failures": failures,
-                }
-            )
     # The asynchrony check at the largest k: the CD algorithms' phase
     # structure assumes common clocks; a modest wake spread breaks it.
-    k = ks[-1]
-    for j, (name, factory, feedback) in enumerate(configs):
-        mean, failures = _measure(
-            k, factory, UniformRandomSchedule(span=lambda kk: kk), feedback,
-            reps, seed + 7777 + 100 * j,
+    workloads = [("static", k, StaticSchedule(), seed + 1000 * i)
+                 for i, k in enumerate(ks)]
+    workloads.append(("async(span=k)", ks[-1],
+                      UniformRandomSchedule(span=lambda kk: kk), seed + 7777))
+    cells = [
+        Cell.repeated(
+            RunSpec(k=k, protocol=factory, adversary=adversary, feedback=feedback),
+            first + 100 * j,
+            reps,
         )
-        rows.append(
-            {
-                "algorithm": name, "workload": "async(span=k)", "k": k,
-                "rounds_over_k": mean / k, "failures": failures,
-            }
-        )
+        for _, k, adversary, first in workloads
+        for j, (_, factory, feedback) in enumerate(configs)
+    ]
+    grid = iter(run_grid(cells))
+    rows = []
+    for workload, k, _, _ in workloads:
+        for name, _, _ in configs:
+            rounds = [r.rounds_executed for r in next(grid).results if r.completed]
+            mean = float(np.mean(rounds)) if rounds else float("nan")
+            rows.append(
+                {
+                    "algorithm": name, "workload": workload, "k": k,
+                    "rounds_over_k": mean / k, "failures": reps - len(rounds),
+                }
+            )
 
     table = render_table(
         ["algorithm", "workload", "k", "rounds/k", "failures"],

@@ -14,9 +14,10 @@ import numpy as np
 
 from repro.adversary.oblivious import StaticSchedule
 from repro.analysis.scaling import fit_all
+from repro.core.protocols.sawtooth_schedule import SawtoothSchedule
 from repro.core.protocols.suniform import SUniform
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_suniform_static"]
@@ -37,51 +38,37 @@ def run_suniform_static(
     sampler, extending the linear-shape evidence well past what the
     object engine can reach.
     """
-    from repro.core.protocols.sawtooth_schedule import SawtoothSchedule
-
+    groups = [
+        (k, [Cell.repeated(
+            RunSpec(k=k, protocol=lambda: SUniform(), adversary=StaticSchedule()),
+            seed + 1000 * i,
+            reps,
+        )])
+        for i, k in enumerate(ks)
+    ] + [
+        # Large-k extension via the vectorised dependent-round sampler, one
+        # cell per run: a single k=4096 run already fills the kernel, and
+        # fusing two is slower (0.54-0.73 s vs 0.44 s) at 1.4x the peak RSS.
+        (k, [
+            Cell(
+                RunSpec(k=k, protocol=SawtoothSchedule(), adversary=StaticSchedule()),
+                (seed + 5000 * (j + 1) + r,),
+            )
+            for r in range(max(2, reps // 2))
+        ])
+        for j, k in enumerate(large_ks)
+    ]
+    grid = iter(run_grid(cell for _, cells in groups for cell in cells))
     rows = []
     latencies = []
-    for i, k in enumerate(ks):
-        lat, tx_max, rounds = [], [], []
-        for r in range(reps):
-            result = execute(RunSpec(
-                k=k,
-                protocol=lambda: SUniform(),
-                adversary=StaticSchedule(),
-                seed=seed + 1000 * i + r,
-            ))
-            if not result.completed:
-                continue
-            lat.append(result.max_latency)
-            tx_max.append(max(rec.transmissions for rec in result.records))
-            rounds.append(result.rounds_executed)
-        mean_latency = float(np.mean(lat)) if lat else float("nan")
-        mean_tx = float(np.mean(tx_max)) if tx_max else float("nan")
-        latencies.append(mean_latency)
-        t = float(np.mean(rounds)) if rounds else float("nan")
-        rows.append(
-            {
-                "k": k,
-                "latency_mean": mean_latency,
-                "latency_over_k": mean_latency / k,
-                "max_tx_per_station": mean_tx,
-                "log2^2(T)": math.log2(max(2.0, t)) ** 2,
-            }
-        )
-
-    # Large-k extension via the vectorised dependent-round sampler.
-    for j, k in enumerate(large_ks):
-        lat, tx_max, rounds = [], [], []
-        for r in range(max(2, reps // 2)):
-            result = execute(RunSpec(
-                k=k, protocol=SawtoothSchedule(), adversary=StaticSchedule(),
-                seed=seed + 5000 * (j + 1) + r,
-            ))
-            if not result.completed:
-                continue
-            lat.append(result.max_latency)
-            tx_max.append(max(rec.transmissions for rec in result.records))
-            rounds.append(result.rounds_executed)
+    for k, cells in groups:
+        results = [result for _ in cells for result in next(grid).results]
+        completed = [result for result in results if result.completed]
+        lat = [result.max_latency for result in completed]
+        tx_max = [
+            max(rec.transmissions for rec in result.records) for result in completed
+        ]
+        rounds = [result.rounds_executed for result in completed]
         mean_latency = float(np.mean(lat)) if lat else float("nan")
         latencies.append(mean_latency)
         t = float(np.mean(rounds)) if rounds else float("nan")

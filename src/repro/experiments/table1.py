@@ -26,17 +26,18 @@ from repro.adversary.oblivious import (
     UniformRandomSchedule,
 )
 from repro.analysis.metrics import MetricSample
-from repro.analysis.scaling import fit_all
+from repro.analysis.scaling import NO_FIT, fit_all
 from repro.channel.results import StopCondition
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
     config_seed,
-    repeat_protocol_runs,
-    repeat_schedule_runs,
-    run_pool,
+    fold_sample,
+    run_grid,
     worst_sample,
 )
 from repro.util.ascii_chart import log_log_chart, render_table
@@ -76,29 +77,54 @@ def _adaptive_rounds(k: int) -> int:
 
 def _sweep_worst(
     ks: Sequence[int],
-    runner,
+    spec_for,
     *,
+    reps: int,
+    seed: int,
     metric: str,
 ) -> list[MetricSample]:
-    """Apply ``runner(k, adversary, seed_offset)`` over the pool; keep the worst.
+    """Run ``spec_for(k, adversary)`` over the pool; keep the worst per ``k``.
 
-    One task per (sweep point, adversary) pair, fanned out across the
-    executor; seed offsets are spaced by ``SEED_STRIDE`` so no two
-    (k, adversary) configurations can ever share a repetition seed.
+    One grid cell per (sweep point, adversary) pair; seed offsets are
+    spaced by ``SEED_STRIDE`` so no two (k, adversary) configurations can
+    ever share a repetition seed.
     """
     pool = oblivious_pool()
-    tasks = [
-        lambda k=k, adv=adv, off=config_seed(0, i * len(pool) + j): runner(
-            k, adv, off
-        )
-        for i, k in enumerate(ks)
-        for j, adv in enumerate(pool)
-    ]
-    samples = run_pool(tasks)
+    cells = []
+    for i, k in enumerate(ks):
+        for j, adversary in enumerate(pool):
+            first = seed + config_seed(0, i * len(pool) + j)
+            cells.append(Cell.repeated(spec_for(k, adversary), first, reps))
+    samples = [fold_sample(runs) for runs in run_grid(cells)]
     return [
         worst_sample(samples[i * len(pool) : (i + 1) * len(pool)], metric=metric)
         for i in range(len(ks))
     ]
+
+
+def _known_k_spec(c: int):
+    return lambda k, adversary: RunSpec(
+        k=k, protocol=NonAdaptiveWithK(k, c), adversary=adversary,
+        max_rounds=_known_k_rounds(k), label="NonAdaptiveWithK",
+    )
+
+
+def _sublinear_spec(b: int, *, with_ack: bool, label: str):
+    rounds = _sublinear_rounds_factory(b, with_ack=with_ack)
+    return lambda k, adversary: RunSpec(
+        k=k, protocol=SublinearDecrease(b), adversary=adversary,
+        max_rounds=rounds(k), switch_off_on_ack=with_ack,
+        stop=(StopCondition.ALL_SWITCHED_OFF if with_ack
+              else StopCondition.ALL_SUCCEEDED),
+        label=label,
+    )
+
+
+def _adaptive_spec(k: int, adversary) -> RunSpec:
+    return RunSpec(
+        k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
+        max_rounds=_adaptive_rounds(k), label="AdaptiveNoK",
+    )
 
 
 def _protocol_rows(ks, samples_by_protocol, value_key):
@@ -124,61 +150,20 @@ def run_table1_latency(
     samples: dict[str, list[MetricSample]] = {}
 
     samples["NonAdaptiveWithK"] = _sweep_worst(
-        ks,
-        lambda k, adv, s: repeat_schedule_runs(
-            k,
-            lambda kk: NonAdaptiveWithK(kk, c),
-            adv,
-            reps=reps,
-            seed=seed + s,
-            max_rounds=_known_k_rounds,
-            label="NonAdaptiveWithK",
-        ),
-        metric="latency_mean",
+        ks, _known_k_spec(c), reps=reps, seed=seed, metric="latency_mean",
     )
-
     samples["SublinearDecrease(ack)"] = _sweep_worst(
-        ks,
-        lambda k, adv, s: repeat_schedule_runs(
-            k,
-            lambda kk: SublinearDecrease(b),
-            adv,
-            reps=reps,
-            seed=seed + 31 + s,
-            max_rounds=_sublinear_rounds_factory(b, with_ack=True),
-            label="SublinearDecrease(ack)",
-        ),
-        metric="latency_mean",
+        ks, _sublinear_spec(b, with_ack=True, label="SublinearDecrease(ack)"),
+        reps=reps, seed=seed + 31, metric="latency_mean",
     )
-
     samples["SublinearDecrease(no-ack)"] = _sweep_worst(
         ks,
-        lambda k, adv, s: repeat_schedule_runs(
-            k,
-            lambda kk: SublinearDecrease(b),
-            adv,
-            reps=reps,
-            seed=seed + 61 + s,
-            max_rounds=_sublinear_rounds_factory(b, with_ack=False),
-            switch_off_on_ack=False,
-            stop=StopCondition.ALL_SUCCEEDED,
-            label="SublinearDecrease(no-ack)",
-        ),
-        metric="latency_mean",
+        _sublinear_spec(b, with_ack=False, label="SublinearDecrease(no-ack)"),
+        reps=reps, seed=seed + 61, metric="latency_mean",
     )
-
     if include_adaptive:
         samples["AdaptiveNoK"] = _sweep_worst(
-            ks,
-            lambda k, adv, s: repeat_protocol_runs(
-                k,
-                lambda: AdaptiveNoK(),
-                adv,
-                reps=max(2, reps // 2),
-                seed=seed + 97 + s,
-                max_rounds=_adaptive_rounds,
-                label="AdaptiveNoK",
-            ),
+            ks, _adaptive_spec, reps=max(2, reps // 2), seed=seed + 97,
             metric="latency_mean",
         )
 
@@ -186,8 +171,8 @@ def run_table1_latency(
     headers = ["k"] + list(samples)
     table = render_table(headers, [[row[h] for h in headers] for row in rows])
 
-    fits_text = []
-    for name, protocol_samples in samples.items():
+    fits_text = [] if len(ks) > 1 else [NO_FIT]
+    for name, protocol_samples in samples.items() if len(ks) > 1 else ():
         values = [s.row()["latency_mean"] for s in protocol_samples]
         fits = fit_all(list(ks), values)
         fits_text.append(
@@ -229,43 +214,15 @@ def run_table1_energy(
     samples: dict[str, list[MetricSample]] = {}
 
     samples["NonAdaptiveWithK"] = _sweep_worst(
-        ks,
-        lambda k, adv, s: repeat_schedule_runs(
-            k,
-            lambda kk: NonAdaptiveWithK(kk, c),
-            adv,
-            reps=reps,
-            seed=seed + s,
-            max_rounds=_known_k_rounds,
-            label="NonAdaptiveWithK",
-        ),
-        metric="energy_mean",
+        ks, _known_k_spec(c), reps=reps, seed=seed, metric="energy_mean",
     )
     samples["SublinearDecrease(ack)"] = _sweep_worst(
-        ks,
-        lambda k, adv, s: repeat_schedule_runs(
-            k,
-            lambda kk: SublinearDecrease(b),
-            adv,
-            reps=reps,
-            seed=seed + 31 + s,
-            max_rounds=_sublinear_rounds_factory(b, with_ack=True),
-            label="SublinearDecrease(ack)",
-        ),
-        metric="energy_mean",
+        ks, _sublinear_spec(b, with_ack=True, label="SublinearDecrease(ack)"),
+        reps=reps, seed=seed + 31, metric="energy_mean",
     )
     if include_adaptive:
         samples["AdaptiveNoK"] = _sweep_worst(
-            ks,
-            lambda k, adv, s: repeat_protocol_runs(
-                k,
-                lambda: AdaptiveNoK(),
-                adv,
-                reps=max(2, reps // 2),
-                seed=seed + 97 + s,
-                max_rounds=_adaptive_rounds,
-                label="AdaptiveNoK",
-            ),
+            ks, _adaptive_spec, reps=max(2, reps // 2), seed=seed + 97,
             metric="energy_mean",
         )
 
@@ -273,13 +230,13 @@ def run_table1_energy(
     headers = ["k"] + list(samples)
     table = render_table(headers, [[row[h] for h in headers] for row in rows])
 
-    fits_text = []
+    fits_text = [] if len(ks) > 1 else [NO_FIT]
     expected = {
         "NonAdaptiveWithK": "k log k",
         "SublinearDecrease(ack)": "k log^2 k",
         "AdaptiveNoK": "k log^2 k",
     }
-    for name, protocol_samples in samples.items():
+    for name, protocol_samples in samples.items() if len(ks) > 1 else ():
         values = [s.row()["energy_mean"] for s in protocol_samples]
         fits = fit_all(list(ks), values)
         fits_text.append(

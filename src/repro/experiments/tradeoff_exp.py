@@ -16,8 +16,8 @@ from repro.baselines.aloha import SlottedAlohaKnownK
 from repro.core.protocols.adaptive_no_k import AdaptiveNoK
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport, repeat_schedule_runs
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, fold_sample, run_grid
 from repro.util.ascii_chart import line_chart, render_table
 
 __all__ = ["run_tradeoff"]
@@ -31,58 +31,44 @@ def run_tradeoff(
 ) -> ExperimentReport:
     """(latency, energy) per protocol/constant at one contention size."""
     adversary = UniformRandomSchedule(span=lambda kk: 2 * kk)
+    configs = [
+        (f"NonAdaptiveWithK(c={c})", Cell.repeated(RunSpec(
+            k=k, protocol=NonAdaptiveWithK(k, c), adversary=adversary,
+            max_rounds=3 * c * k + 3 * k + 4096,
+        ), seed + c, reps))
+        for c in (2, 4, 6, 10)
+    ] + [
+        (f"SublinearDecrease(b={b})", Cell.repeated(RunSpec(
+            k=k, protocol=SublinearDecrease(b), adversary=adversary,
+            max_rounds=int(1.5 * SublinearDecrease.latency_bound_with_ack(k, b))
+            + 3 * k + 4096,
+        ), seed + 50 + b, reps))
+        for b in (1, 2, 4)
+    ] + [
+        ("Aloha(1/k)", Cell.repeated(RunSpec(
+            k=k, protocol=SlottedAlohaKnownK(k), adversary=adversary,
+        ), seed + 99, reps)),
+    ]
+    adaptive_cell = Cell.repeated(
+        RunSpec(k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary),
+        seed + 200,
+        max(2, reps // 2),
+    )
+    grid = run_grid([cell for _, cell in configs] + [adaptive_cell])
+
     points = []
-
-    for c in (2, 4, 6, 10):
-        sample = repeat_schedule_runs(
-            k, lambda kk: NonAdaptiveWithK(kk, c), adversary,
-            reps=reps, seed=seed + c,
-            max_rounds=lambda kk: 3 * c * kk + 3 * kk + 4096,
-            label=f"ladder c={c}",
-        )
+    for (config, _), runs in zip(configs, grid):
+        sample = fold_sample(runs)
         row = sample.row()
         points.append(
-            {"config": f"NonAdaptiveWithK(c={c})",
+            {"config": config,
              "latency": row["latency_mean"],
              "energy_per_station": row["energy_per_station"],
              "failures": sample.failures}
         )
-
-    for b in (1, 2, 4):
-        sample = repeat_schedule_runs(
-            k, lambda kk: SublinearDecrease(b), adversary,
-            reps=reps, seed=seed + 50 + b,
-            max_rounds=lambda kk: int(
-                1.5 * SublinearDecrease.latency_bound_with_ack(kk, b)
-            ) + 3 * kk + 4096,
-            label=f"code b={b}",
-        )
-        row = sample.row()
-        points.append(
-            {"config": f"SublinearDecrease(b={b})",
-             "latency": row["latency_mean"],
-             "energy_per_station": row["energy_per_station"],
-             "failures": sample.failures}
-        )
-
-    sample = repeat_schedule_runs(
-        k, lambda kk: SlottedAlohaKnownK(kk), adversary,
-        reps=reps, seed=seed + 99,
-        label="aloha",
-    )
-    row = sample.row()
-    points.append(
-        {"config": "Aloha(1/k)", "latency": row["latency_mean"],
-         "energy_per_station": row["energy_per_station"],
-         "failures": sample.failures}
-    )
 
     latencies, energies = [], []
-    for r in range(max(2, reps // 2)):
-        result = execute(RunSpec(
-            k=k, protocol=lambda: AdaptiveNoK(), adversary=adversary,
-            seed=seed + 200 + r,
-        ))
+    for result in grid[-1].results:
         if result.completed:
             latencies.append(result.max_latency)
             energies.append(result.total_transmissions / k)

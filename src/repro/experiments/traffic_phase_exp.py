@@ -19,8 +19,6 @@ protocol factories fall back to the object engines automatically.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Optional
-
 import numpy as np
 
 from repro.adversary.oblivious import PoissonArrivals
@@ -30,11 +28,7 @@ from repro.baselines.backoff import BinaryExponentialBackoff
 from repro.channel.results import StopCondition
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
 from repro.core.spec import RunSpec
-from repro.experiments.harness import (
-    ExperimentReport,
-    config_seed,
-    repeat_spec_runs,
-)
+from repro.experiments.harness import Cell, ExperimentReport, config_seed, run_grid
 from repro.util.ascii_chart import line_chart, render_table
 
 __all__ = ["run_traffic_phase"]
@@ -81,10 +75,6 @@ def run_traffic_phase(
     discipline: str = "free",
     slope_threshold: float = 0.01,
     seed: int = 2026,
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> ExperimentReport:
     """Sweep injection rate λ per protocol and classify each cell.
 
@@ -94,27 +84,14 @@ def run_traffic_phase(
     ``reps`` seeds (``config_seed`` per cell), so rows are bit-identical
     across worker counts, batch sizes, and resumed invocations.
     """
-    rows: list[dict[str, object]] = []
-    grid: dict[str, dict[float, bool]] = {}
-    series_rate: dict[str, list[float]] = {}
-    series_slope: dict[str, list[float]] = {}
-    # CLI overrides deliver single values as scalars ("--lams 0.4",
-    # "--protocols aloha"); normalise them to one-element sweeps.
-    if isinstance(lams, (int, float)):
-        lams = (lams,)
-    if isinstance(protocols, str):
-        protocols = (protocols,)
     lams = tuple(float(lam) for lam in lams)
-    protocols = tuple(protocols)
-    for p_idx, name in enumerate(protocols):
-        protocol, label = _protocol_instance(
-            name, aloha_p=aloha_p, backoff_b=backoff_b
-        )
-        grid[label] = {}
-        series_rate[label] = []
-        series_slope[label] = []
-        for l_idx, lam in enumerate(lams):
-            base = RunSpec(
+    instances = [
+        _protocol_instance(name, aloha_p=aloha_p, backoff_b=backoff_b)
+        for name in protocols
+    ]
+    cells = [
+        Cell.repeated(
+            RunSpec(
                 k=stations,
                 protocol=protocol,
                 arrivals=PoissonArrivals(rate=lam),
@@ -122,20 +99,26 @@ def run_traffic_phase(
                 stop=StopCondition.ALL_SWITCHED_OFF,
                 max_rounds=horizon,
                 label=f"traffic:{label}@lam={lam}",
-            )
-            cell_index = p_idx * len(lams) + l_idx
-            results = repeat_spec_runs(
-                base,
-                reps=reps,
-                seed=config_seed(seed, cell_index),
-                jobs=jobs,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                batch_size=batch_size,
-            )
+            ),
+            config_seed(seed, p_idx * len(lams) + l_idx),
+            reps,
+        )
+        for p_idx, (protocol, label) in enumerate(instances)
+        for l_idx, lam in enumerate(lams)
+    ]
+    runs = iter(run_grid(cells))
+    rows: list[dict[str, object]] = []
+    grid: dict[str, dict[float, bool]] = {}
+    series_rate: dict[str, list[float]] = {}
+    series_slope: dict[str, list[float]] = {}
+    for _, label in instances:
+        grid[label] = {}
+        series_rate[label] = []
+        series_slope[label] = []
+        for lam in lams:
             per_run = [
                 traffic_stats(result, horizon, window=window)
-                for result in results
+                for result in next(runs).results
             ]
             cell = {
                 key: float(np.mean([s[key] for s in per_run]))

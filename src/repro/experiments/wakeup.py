@@ -16,14 +16,16 @@ from repro.adversary.oblivious import (
     StaticSchedule,
     UniformRandomSchedule,
 )
-from repro.analysis.scaling import fit_all
+from repro.analysis.scaling import NO_FIT, fit_all
 from repro.channel.results import StopCondition
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
+from repro.core.spec import RunSpec
 from repro.experiments.harness import (
+    Cell,
     ExperimentReport,
     config_seed,
-    repeat_schedule_runs,
-    run_pool,
+    fold_sample,
+    run_grid,
     worst_sample,
 )
 from repro.util.ascii_chart import render_table
@@ -45,23 +47,20 @@ def run_wakeup(
         UniformRandomSchedule(span=lambda k: k),
         StaggeredSchedule(gap=1),
     ]
-    tasks = [
-        lambda k=k, adversary=adversary, s=config_seed(
-            seed, i * len(pool) + j
-        ): repeat_schedule_runs(
-            k,
-            lambda kk: schedule,
-            adversary,
-            reps=reps,
-            seed=s,
-            max_rounds=lambda kk: int(64 * q * kk) + 2048,
-            stop=StopCondition.FIRST_SUCCESS,
-            label=f"DecreaseSlowly@{adversary.name}",
-        )
-        for i, k in enumerate(ks)
-        for j, adversary in enumerate(pool)
-    ]
-    flat_samples = run_pool(tasks)
+    cells = []
+    for i, k in enumerate(ks):
+        for j, adversary in enumerate(pool):
+            first = config_seed(seed, i * len(pool) + j)
+            spec = RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=adversary,
+                max_rounds=int(64 * q * k) + 2048,
+                stop=StopCondition.FIRST_SUCCESS,
+                label=f"DecreaseSlowly@{adversary.name}",
+            )
+            cells.append(Cell.repeated(spec, first, reps))
+    flat_samples = [fold_sample(runs) for runs in run_grid(cells)]
     rows = []
     worst_by_k = []
     for i, k in enumerate(ks):
@@ -78,7 +77,13 @@ def run_wakeup(
         worst_by_k.append(worst_sample(samples, metric="first_success_mean"))
 
     worst_values = [s.row()["first_success_mean"] for s in worst_by_k]
-    fits = fit_all(list(ks), worst_values, models=("k", "k log k", "k log^2 k"))
+    fit_line = NO_FIT
+    if len(ks) > 1:
+        fits = fit_all(list(ks), worst_values, models=("k", "k log k", "k log^2 k"))
+        fit_line = (
+            f"best fit: ~ {fits[0].constant:.3g} * {fits[0].model}"
+            f" (rel. RMSE {fits[0].relative_rmse:.3f}); paper: O(k)"
+        )
     table = render_table(
         ["k", "adversary", "mean wake-up rounds", "failures"],
         [[r["k"], r["adversary"], r["wakeup_mean"], r["failures"]] for r in rows],
@@ -97,8 +102,7 @@ def run_wakeup(
             "",
             ratio_table,
             "",
-            f"best fit: ~ {fits[0].constant:.3g} * {fits[0].model}"
-            f" (rel. RMSE {fits[0].relative_rmse:.3f}); paper: O(k)",
+            fit_line,
         ]
     )
     return ExperimentReport("thm51_wakeup", "Theorem 5.1 wake-up", rows, text)

@@ -29,8 +29,10 @@ from repro.core.protocols.wakeup_variants import (
     FixedRateWakeup,
     GeometricDecayWakeup,
 )
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport, repeat_schedule_runs
+from repro.baselines.willard import WillardSelection
+from repro.channel.feedback import FeedbackModel
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, fold_sample, run_grid
 from repro.util.ascii_chart import render_table
 
 __all__ = ["run_wakeup_variants"]
@@ -53,49 +55,78 @@ def run_wakeup_variants(
         ("FixedRate(1/k)", FixedRateWakeup(1.0 / k)),
         ("GeometricDecay(.5,.5)", GeometricDecayWakeup(0.5, 0.5)),
     ]
-    rows = []
-    for workload_name, adversary in workloads:
-        for schedule_name, schedule in schedules:
-            sample = repeat_schedule_runs(
-                k,
-                lambda kk: schedule,
-                adversary,
-                reps=reps,
-                seed=seed,
+    wakeup_cells = [
+        Cell.repeated(
+            RunSpec(
+                k=k,
+                protocol=schedule,
+                adversary=adversary,
                 stop=StopCondition.FIRST_SUCCESS,
                 switch_off_on_ack=False,
                 label=schedule_name,
-            )
-            row = sample.row()
-            rows.append(
-                {
-                    "schedule": schedule_name,
-                    "workload": workload_name,
-                    "task": "wake-up",
-                    "wakeup_mean": row["first_success_mean"],
-                    "failures": sample.failures,
-                    "runs": sample.runs,
-                }
-            )
-
+            ),
+            seed,
+            reps,
+        )
+        for _, adversary in workloads
+        for schedule_name, schedule in schedules
+    ]
     # CD reference row: Willard's doubling+binary-search selection achieves
     # expected O(log log k) wake-up — the price of the paper's no-CD model
     # is the gap between this row and DecreaseSlowly's O(k).
-    from repro.baselines.willard import WillardSelection
-    from repro.channel.feedback import FeedbackModel
-
-    willard_times = []
-    for r in range(reps):
-        result = execute(RunSpec(
+    willard_cell = Cell.repeated(
+        RunSpec(
             k=k,
             protocol=lambda: WillardSelection(),
             adversary=StaticSchedule(),
             feedback=FeedbackModel.COLLISION_DETECTION,
             stop=StopCondition.FIRST_SUCCESS,
-            seed=seed + 77 + r,
-        ))
-        if result.completed:
-            willard_times.append(result.first_success_round)
+        ),
+        seed + 77,
+        reps,
+    )
+    # The starvation column: *full* contention resolution.  Geometric decay
+    # has finite probability mass per station (Borel-Cantelli), so under a
+    # crowd most stations spend it during the collision phase and then go
+    # silent forever; the divergent harmonic schedule never does.
+    starvation = [
+        ("DecreaseSlowly(q=2)", DecreaseSlowly(2)),
+        ("GeometricDecay(.5,.9)", GeometricDecayWakeup(0.5, 0.9)),
+    ]
+    starvation_cells = [
+        Cell.repeated(
+            RunSpec(k=k, protocol=schedule, adversary=StaticSchedule()),
+            seed + 99,
+            max(3, reps // 2),
+        )
+        for _, schedule in starvation
+    ]
+    grid = run_grid(wakeup_cells + [willard_cell] + starvation_cells)
+
+    rows = []
+    wakeup_names = [
+        (workload_name, schedule_name)
+        for workload_name, _ in workloads
+        for schedule_name, _ in schedules
+    ]
+    for (workload_name, schedule_name), runs in zip(wakeup_names, grid):
+        sample = fold_sample(runs)
+        rows.append(
+            {
+                "schedule": schedule_name,
+                "workload": workload_name,
+                "task": "wake-up",
+                "wakeup_mean": sample.row()["first_success_mean"],
+                "failures": sample.failures,
+                "runs": sample.runs,
+            }
+        )
+
+    willard_times = [
+        result.first_success_round
+        for result in grid[len(wakeup_cells)].results
+        if result.completed
+    ]
     rows.append(
         {
             "schedule": "Willard (CD reference)",
@@ -110,22 +141,11 @@ def run_wakeup_variants(
         }
     )
 
-    # The starvation column: *full* contention resolution.  Geometric decay
-    # has finite probability mass per station (Borel-Cantelli), so under a
-    # crowd most stations spend it during the collision phase and then go
-    # silent forever; the divergent harmonic schedule never does.
     starvation_rows = []
-    for schedule_name, schedule in (
-        ("DecreaseSlowly(q=2)", DecreaseSlowly(2)),
-        ("GeometricDecay(.5,.9)", GeometricDecayWakeup(0.5, 0.9)),
+    for (schedule_name, _), runs in zip(
+        starvation, grid[len(wakeup_cells) + 1 :]
     ):
-        counts = []
-        for r in range(max(3, reps // 2)):
-            result = execute(RunSpec(
-                k=k, protocol=schedule, adversary=StaticSchedule(),
-                seed=seed + 99 + r,
-            ))
-            counts.append(result.success_count)
+        counts = [result.success_count for result in runs.results]
         starvation_rows.append(
             {
                 "schedule": schedule_name,

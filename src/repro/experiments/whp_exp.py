@@ -23,8 +23,8 @@ from repro.channel.results import StopCondition
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.sublinear_decrease import SublinearDecrease
-from repro.engine import RunSpec, execute
-from repro.experiments.harness import ExperimentReport
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, ExperimentReport, run_grid
 from repro.theory.bounds import (
     theorem31_failure_exponent,
     theorem51_light_failure_bound,
@@ -47,20 +47,35 @@ def run_whp_validation(
 ) -> ExperimentReport:
     """Empirical failure rates vs the theorems' analytic bounds."""
     adversary = UniformRandomSchedule(span=lambda kk: 2 * kk)
+    # Horizons here are the theorems' own bounds (plus wake-span slack) —
+    # "failure" is defined relative to them, so they stay explicit
+    # experiment parameters.
+    claims = [
+        (
+            "Thm 3.1: NonAdaptiveWithK in 3ck",
+            RunSpec(k=k, protocol=NonAdaptiveWithK(k, c), adversary=adversary,
+                    max_rounds=3 * c * k + 2 * k + 512),
+            theorem31_failure_exponent(k, c),
+        ),
+        (
+            "Thm t:full-1: SublinearDecrease (no acks) in 4bk ln^2 k",
+            RunSpec(k=k, protocol=SublinearDecrease(b), adversary=adversary,
+                    max_rounds=theorem_full1_horizon(k, b) + 2 * k + 512,
+                    stop=StopCondition.ALL_SUCCEEDED, switch_off_on_ack=False),
+            theorem_full1_failure_bound(k, b),
+        ),
+        (
+            "Thm 5.1: DecreaseSlowly wake-up in 32qk",
+            RunSpec(k=k, protocol=DecreaseSlowly(q), adversary=adversary,
+                    max_rounds=int(32 * q * k) + 2 * k + 512,
+                    stop=StopCondition.FIRST_SUCCESS),
+            theorem51_light_failure_bound(k, q),
+        ),
+    ]
+    grid = run_grid(Cell.repeated(spec, seed, runs) for _, spec, _ in claims)
     rows = []
-
-    def trial_block(label, schedule, horizon, stop, analytic, switch_off=True):
-        # Horizons here are the theorems' own bounds (plus wake-span
-        # slack) — "failure" is defined relative to them, so they stay
-        # explicit experiment parameters.
-        base = RunSpec(
-            k=k, protocol=schedule, adversary=adversary, max_rounds=horizon,
-            stop=stop, switch_off_on_ack=switch_off,
-        )
-        failures = 0
-        for r in range(runs):
-            if not execute(base.with_seed(seed + r)).completed:
-                failures += 1
+    for (label, _, analytic), cell_runs in zip(claims, grid):
+        failures = sum(1 for result in cell_runs.results if not result.completed)
         low, high = proportion_ci(failures, runs)
         rows.append(
             {
@@ -71,29 +86,6 @@ def run_whp_validation(
                 "consistent": high <= max(analytic, 0.05) or failures == 0,
             }
         )
-
-    trial_block(
-        "Thm 3.1: NonAdaptiveWithK in 3ck",
-        NonAdaptiveWithK(k, c),
-        3 * c * k + 2 * k + 512,
-        StopCondition.ALL_SWITCHED_OFF,
-        theorem31_failure_exponent(k, c),
-    )
-    trial_block(
-        "Thm t:full-1: SublinearDecrease (no acks) in 4bk ln^2 k",
-        SublinearDecrease(b),
-        theorem_full1_horizon(k, b) + 2 * k + 512,
-        StopCondition.ALL_SUCCEEDED,
-        theorem_full1_failure_bound(k, b),
-        switch_off=False,
-    )
-    trial_block(
-        "Thm 5.1: DecreaseSlowly wake-up in 32qk",
-        DecreaseSlowly(q),
-        int(32 * q * k) + 2 * k + 512,
-        StopCondition.FIRST_SUCCESS,
-        theorem51_light_failure_bound(k, q),
-    )
 
     table = render_table(
         ["claim", "runs", "failures", "rate", "Wilson hi", "analytic bound"],

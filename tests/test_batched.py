@@ -52,8 +52,9 @@ from repro.experiments.executor import (
     resolve_batch_size,
     set_default_batch_size,
     use_batch_size,
+    use_jobs,
 )
-from repro.experiments.harness import repeat_schedule_runs, sweep_schedule
+from repro.experiments.harness import Cell, fold_sample, run_grid, run_seed
 from tests.test_engine_fuzz import MAX_WAKE, MIN_ROUNDS, DeterministicSchedule
 
 MAX_ROUNDS = 120
@@ -399,11 +400,17 @@ class TestHarnessBatching:
 
     KW = dict(reps=17, seed=991)
 
-    def run_once(self, **kw):
-        merged = dict(self.KW, **kw)
-        return repeat_schedule_runs(
-            12, lambda k: NonAdaptiveWithK(k, 6), UniformRandomSchedule(), **merged
+    @staticmethod
+    def spec(k: int = 12) -> RunSpec:
+        return RunSpec(
+            k=k, protocol=NonAdaptiveWithK(k, 6), adversary=UniformRandomSchedule()
         )
+
+    def run_once(self, batch_size=None, jobs=None):
+        cell = Cell.repeated(self.spec(), self.KW["seed"], self.KW["reps"])
+        with use_batch_size(batch_size), use_jobs(jobs):
+            (runs,) = run_grid([cell])
+        return fold_sample(runs)
 
     def test_batch_sizes_agree_with_serial_path(self):
         serial = self.run_once(batch_size=1)  # exactly the one-task-per-run path
@@ -423,22 +430,16 @@ class TestHarnessBatching:
         assert sample_rows(explicit) == sample_rows(defaulted)
 
     def test_sweep_chunks_never_span_configurations(self):
-        kw = dict(reps=7, seed=313)
-        swept = sweep_schedule(
-            (4, 8, 16),
-            lambda k: NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(),
-            batch_size=64,
-            **kw,
-        )
-        per_run = sweep_schedule(
-            (4, 8, 16),
-            lambda k: NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(),
-            batch_size=1,
-            **kw,
-        )
-        assert [sample_rows(s) for s in swept] == [sample_rows(s) for s in per_run]
+        cells = [
+            Cell.repeated(self.spec(k), run_seed(313, i, 0), 7)
+            for i, k in enumerate((4, 8, 16))
+        ]
+
+        def swept(batch_size):
+            with use_batch_size(batch_size):
+                return [sample_rows(fold_sample(runs)) for runs in run_grid(cells)]
+
+        assert swept(64) == swept(1)
 
     def test_resume_folds_batched_journal_entries(self, tmp_path):
         """Journal entries stay per-(fingerprint, seed) under batching: a

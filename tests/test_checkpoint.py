@@ -30,7 +30,8 @@ from repro.experiments.checkpoint import (
     use_checkpoint,
 )
 from repro.experiments.executor import RunExecutor, parallelism_available
-from repro.experiments.harness import repeat_schedule_runs
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, fold_sample, run_grid
 from repro.experiments.registry import run_experiment
 from repro.cli import main
 
@@ -71,20 +72,14 @@ class TestConfigFingerprint:
     def test_stable_across_equivalent_instances(self):
         """Fresh objects with equal configuration fingerprint identically —
         the property that makes journal keys survive process restarts."""
-        from repro.experiments.harness import _schedule_fingerprint
 
         def fingerprint():
-            k, horizon = 16, 200
-            schedule = NonAdaptiveWithK(k, 4)
-            return _schedule_fingerprint(
-                k,
-                schedule,
-                FixedSchedule([0, 3]),
-                horizon=horizon,
-                prob_table=schedule.probabilities(horizon),
-                switch_off_on_ack=True,
-                stop=small_run_result().stop,
-            )
+            return RunSpec(
+                k=16,
+                protocol=NonAdaptiveWithK(16, 4),
+                adversary=FixedSchedule([0, 3]),
+                max_rounds=200,
+            ).fingerprint()
 
         assert fingerprint() == fingerprint()
 
@@ -151,16 +146,14 @@ class TestCheckpointJournal:
 
 class TestHarnessResume:
     def test_repeat_runs_resume_identical(self, tmp_path):
-        kwargs = dict(
-            reps=3,
-            seed=5,
-            max_rounds=lambda k: 40 * k,
+        spec = RunSpec(
+            k=8, protocol=NonAdaptiveWithK(8, 4), adversary=StaticSchedule(),
+            max_rounds=40 * 8,
         )
 
         def run():
-            return repeat_schedule_runs(
-                8, lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(), **kwargs
-            )
+            (runs,) = run_grid([Cell.repeated(spec, 5, 3)])
+            return fold_sample(runs)
 
         clean = run()
         journal = CheckpointJournal(tmp_path / "j.runs.jsonl")
@@ -184,8 +177,7 @@ class TestHarnessResume:
 class _InterruptAfter:
     """Wrap ``RunExecutor.map`` so KeyboardInterrupt fires after N runs
     have been journaled.  Only journaling map calls (``on_result`` set by
-    ``_execute_runs``) count: ``run_pool``'s outer sample-level map does
-    not touch the journal, so interrupting there proves nothing."""
+    ``run_grid``) count."""
 
     def __init__(self, runs: int):
         self.remaining = runs
@@ -250,8 +242,8 @@ class TestRegistryResume:
         not parallelism_available(), reason="fork start method unavailable"
     )
     def test_pool_workers_journal_and_resume(self, tmp_path):
-        """Pool drivers journal *inside* forked workers; the counters ride
-        back to the parent so the report still says what was resumed."""
+        """Runs executed in forked workers are journaled as the parent
+        collects them, so the report still says what was resumed."""
         clean = run_experiment(EXPERIMENT, **OVERRIDES)
         first = run_experiment(
             EXPERIMENT, resume_dir=str(tmp_path), jobs=2, **OVERRIDES

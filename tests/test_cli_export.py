@@ -4,46 +4,78 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
+from typing import Optional
 
 import pytest
 
-from repro.cli import _coerce, _parse_overrides, main
+from repro.cli import _convert, _parse_overrides, main
 from repro.experiments.export import rows_to_csv, write_report_csv
 from repro.experiments.harness import ExperimentReport
 
 
 class TestCoerce:
+    """Override strings convert to the driver parameter's annotation."""
+
     def test_int_float_bool_string(self):
-        assert _coerce("42") == 42
-        assert _coerce("2.5") == 2.5
-        assert _coerce("true") is True
-        assert _coerce("False") is False
-        assert _coerce("hello") == "hello"
+        assert _convert("42", int) == 42
+        assert _convert("2.5", float) == 2.5
+        assert type(_convert("2", float)) is float
+        assert _convert("true", bool) is True
+        assert _convert("False", bool) is False
+        assert _convert("hello", str) == "hello"
+        assert _convert("7", Optional[int]) == 7
+        assert _convert("none", Optional[int]) is None
+        with pytest.raises(ValueError):
+            _convert("yes please", bool)
 
     def test_tuples(self):
-        assert _coerce("32,64,128") == (32, 64, 128)
-        assert _coerce("0.1,0.5") == (0.1, 0.5)
+        assert _convert("32,64,128", Sequence[int]) == (32, 64, 128)
+        assert _convert("0.1,0.5", Sequence[float]) == (0.1, 0.5)
+        assert _convert("aloha,beb", Sequence[str]) == ("aloha", "beb")
+
+    def test_scalar_for_sequence_is_one_tuple(self):
+        assert _convert("16", Sequence[int]) == (16,)
+        assert _convert("0.4", Sequence[float]) == (0.4,)
 
 
 class TestParseOverrides:
     def test_pairs(self):
-        assert _parse_overrides(["--reps", "3", "--ks", "8,16"]) == {
-            "reps": 3,
-            "ks": (8, 16),
-        }
+        assert _parse_overrides(
+            "table1_latency", ["--reps", "3", "--ks", "8,16"]
+        ) == {"reps": 3, "ks": (8, 16)}
 
     def test_dash_to_underscore(self):
-        assert _parse_overrides(["--include-adaptive", "false"]) == {
-            "include_adaptive": False
-        }
+        assert _parse_overrides(
+            "table1_latency", ["--include-adaptive", "false"]
+        ) == {"include_adaptive": False}
 
     def test_odd_pairs_rejected(self):
         with pytest.raises(SystemExit):
-            _parse_overrides(["--reps"])
+            _parse_overrides("table1_latency", ["--reps"])
 
     def test_bad_option_rejected(self):
         with pytest.raises(SystemExit):
-            _parse_overrides(["reps", "3"])
+            _parse_overrides("table1_latency", ["reps", "3"])
+
+    def test_unknown_key_lists_accepted_keys(self):
+        with pytest.raises(SystemExit) as exc:
+            _parse_overrides("thm51_wakeup", ["--kss", "16"])
+        message = str(exc.value)
+        assert "--kss" in message
+        for accepted in ("--ks", "--q", "--reps", "--seed"):
+            assert accepted in message
+
+    def test_malformed_value_rejected(self):
+        with pytest.raises(SystemExit, match="--reps"):
+            _parse_overrides("thm51_wakeup", ["--reps", "two"])
+
+    @pytest.mark.parametrize("experiment", ["table1_latency", "thm51_wakeup"])
+    def test_scalar_sweep_runs_end_to_end(self, experiment, capsys):
+        assert main(["run", experiment, "--ks", "16", "--reps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"== {experiment}" in out
+        assert "(a single k admits no scaling fit)" in out
 
 
 class TestMain:

@@ -29,12 +29,8 @@ from repro.experiments.executor import (
     use_failure_policy,
     use_jobs,
 )
-from repro.experiments.harness import (
-    repeat_protocol_runs,
-    repeat_schedule_runs,
-    sweep_protocol,
-    sweep_schedule,
-)
+from repro.core.spec import RunSpec
+from repro.experiments.harness import Cell, fold_sample, run_grid, run_seed
 from repro.experiments.registry import run_experiment
 
 needs_fork = pytest.mark.skipif(
@@ -122,66 +118,52 @@ def _raw(sample):
     )
 
 
+def _samples(cells, jobs):
+    with use_jobs(jobs):
+        return [fold_sample(runs) for runs in run_grid(cells)]
+
+
+def _ladder(k, adversary=None):
+    return RunSpec(
+        k=k, protocol=NonAdaptiveWithK(k, 4),
+        adversary=adversary or StaticSchedule(), max_rounds=40 * k,
+    )
+
+
+def _suniform(k, label=""):
+    return RunSpec(
+        k=k, protocol=lambda: SUniform(), adversary=StaticSchedule(),
+        max_rounds=64 * k, label=label,
+    )
+
+
 @needs_fork
 class TestJobsDeterminism:
     def test_repeat_schedule_runs_jobs_invariant(self):
-        def run(jobs):
-            return repeat_schedule_runs(
-                24,
-                lambda k: NonAdaptiveWithK(k, 4),
-                UniformRandomSchedule(span=lambda k: 2 * k),
-                reps=6,
-                seed=123,
-                max_rounds=lambda k: 40 * k,
-                jobs=jobs,
-            )
-
-        assert _raw(run(1)) == _raw(run(4))
+        cells = [Cell.repeated(
+            _ladder(24, UniformRandomSchedule(span=lambda k: 2 * k)), 123, 6
+        )]
+        assert _raw(_samples(cells, 1)[0]) == _raw(_samples(cells, 4)[0])
 
     def test_repeat_protocol_runs_jobs_invariant(self):
-        def run(jobs):
-            return repeat_protocol_runs(
-                8,
-                lambda: SUniform(),
-                StaticSchedule(),
-                reps=4,
-                seed=9,
-                max_rounds=lambda k: 64 * k,
-                label="suniform",
-                jobs=jobs,
-            )
-
-        assert _raw(run(1)) == _raw(run(4))
+        cells = [Cell.repeated(_suniform(8, "suniform"), 9, 4)]
+        assert _raw(_samples(cells, 1)[0]) == _raw(_samples(cells, 4)[0])
 
     def test_sweep_schedule_jobs_invariant(self):
-        def run(jobs):
-            return sweep_schedule(
-                (8, 16, 24),
-                lambda k: NonAdaptiveWithK(k, 4),
-                StaticSchedule(),
-                reps=3,
-                seed=5,
-                max_rounds=lambda k: 40 * k,
-                jobs=jobs,
-            )
-
-        serial, parallel = run(1), run(4)
+        cells = [
+            Cell.repeated(_ladder(k), run_seed(5, i, 0), 3)
+            for i, k in enumerate((8, 16, 24))
+        ]
+        serial, parallel = _samples(cells, 1), _samples(cells, 4)
         assert _rows(serial) == _rows(parallel)
         assert [_raw(s) for s in serial] == [_raw(s) for s in parallel]
 
     def test_sweep_protocol_jobs_invariant(self):
-        def run(jobs):
-            return sweep_protocol(
-                (4, 8),
-                lambda: SUniform(),
-                StaticSchedule(),
-                reps=2,
-                seed=11,
-                max_rounds=lambda k: 64 * k,
-                jobs=jobs,
-            )
-
-        assert _rows(run(1)) == _rows(run(4))
+        cells = [
+            Cell.repeated(_suniform(k), run_seed(11, i, 0), 2)
+            for i, k in enumerate((4, 8))
+        ]
+        assert _rows(_samples(cells, 1)) == _rows(_samples(cells, 4))
 
     def test_run_experiment_jobs_invariant(self):
         """End-to-end over the registry/CLI plumbing: a pool-driver
@@ -201,28 +183,12 @@ class TestJobsDeterminism:
         assert report.timings["jobs"] == 2.0
 
     def test_per_run_timing_capture(self):
-        sample = repeat_schedule_runs(
-            8,
-            lambda k: NonAdaptiveWithK(k, 4),
-            StaticSchedule(),
-            reps=3,
-            seed=0,
-            max_rounds=lambda k: 40 * k,
-            jobs=2,
-        )
+        (sample,) = _samples([Cell.repeated(_ladder(8), 0, 3)], 2)
         assert len(sample.run_seconds) == 3
         assert all(seconds >= 0.0 for seconds in sample.run_seconds)
 
     def test_per_run_retry_capture(self):
-        sample = repeat_schedule_runs(
-            8,
-            lambda k: NonAdaptiveWithK(k, 4),
-            StaticSchedule(),
-            reps=3,
-            seed=0,
-            max_rounds=lambda k: 40 * k,
-            jobs=2,
-        )
+        (sample,) = _samples([Cell.repeated(_ladder(8), 0, 3)], 2)
         assert sample.run_retries == [0, 0, 0]
         assert sample.total_retries == 0
 

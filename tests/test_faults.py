@@ -31,7 +31,7 @@ from repro.engine.dispatch import (
 from repro.engine.plan import use_tiling
 from repro.experiments.checkpoint import CheckpointJournal, use_checkpoint
 from repro.experiments.executor import use_batch_size, use_jobs
-from repro.experiments.harness import _apply_default_faults, repeat_spec_runs
+from repro.experiments.harness import Cell, _apply_default_faults, run_grid
 from repro.faults import (
     AckLoss,
     EnergyBudget,
@@ -45,6 +45,12 @@ from repro.faults import (
 from repro.telemetry import registry as telemetry
 from repro.telemetry.export import metric_name
 from tests.test_engine_fuzz import DeterministicSchedule, record_keys
+
+
+def spec_runs(spec: RunSpec, *, reps: int, seed: int):
+    """``reps`` runs of one spec through the harness, seeds ``seed + r``."""
+    (runs,) = run_grid([Cell.repeated(spec, seed, reps)])
+    return runs.results
 
 
 @pytest.fixture(autouse=True)
@@ -364,7 +370,7 @@ class TestAcceptanceByteIdentity:
             (64, {"tile_rounds": 16}),
         ):
             with use_batch_size(batch_size), use_tiling(**tiling):
-                results = repeat_spec_runs(spec, reps=reps, seed=seed)
+                results = spec_runs(spec, reps=reps, seed=seed)
             prints = [result_fingerprint(r) for r in results]
             if baseline is None:
                 baseline = prints
@@ -379,9 +385,9 @@ class TestAcceptanceByteIdentity:
             faults=FaultModel(noise=SlotNoise(0.1), ack_loss=AckLoss(0.05)),
             seed=7,
         )
-        serial = repeat_spec_runs(spec, reps=4, seed=11)
+        serial = spec_runs(spec, reps=4, seed=11)
         with use_jobs(2):
-            parallel = repeat_spec_runs(spec, reps=4, seed=11)
+            parallel = spec_runs(spec, reps=4, seed=11)
         assert [result_fingerprint(r) for r in serial] == [
             result_fingerprint(r) for r in parallel
         ]
@@ -391,18 +397,18 @@ class TestAcceptanceByteIdentity:
         completion matches an uninterrupted pass byte for byte."""
         spec = acceptance_spec()
         reps, seed = 5, 60
-        fresh = repeat_spec_runs(spec, reps=reps, seed=seed)
+        fresh = spec_runs(spec, reps=reps, seed=seed)
 
         journal = CheckpointJournal.for_experiment(tmp_path, "faults")
         journal.load()
         with use_checkpoint(journal):
-            repeat_spec_runs(spec, reps=2, seed=seed)
+            spec_runs(spec, reps=2, seed=seed)
         assert journal.records_written == 2
 
         resumed_journal = CheckpointJournal.for_experiment(tmp_path, "faults")
         resumed_journal.load()
         with use_checkpoint(resumed_journal):
-            resumed = repeat_spec_runs(spec, reps=reps, seed=seed)
+            resumed = spec_runs(spec, reps=reps, seed=seed)
         assert resumed_journal.hits == 2
         assert [result_fingerprint(r) for r in fresh] == [
             result_fingerprint(r) for r in resumed
@@ -466,8 +472,8 @@ class TestDefaultFaults:
     def test_default_reaches_executed_runs(self):
         spec = acceptance_spec().replace(faults=None)
         with use_faults(acceptance_spec().faults):
-            defaulted = repeat_spec_runs(spec, reps=1, seed=spec.seed)
-        explicit = repeat_spec_runs(
+            defaulted = spec_runs(spec, reps=1, seed=spec.seed)
+        explicit = spec_runs(
             acceptance_spec(), reps=1, seed=spec.seed
         )
         assert result_fingerprint(defaulted[0]) == result_fingerprint(

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (repeat/sweep helpers)."""
+"""Tests for the experiment harness (the spec-grid runner and fold)."""
 
 from __future__ import annotations
 
@@ -10,104 +10,150 @@ from repro.channel.results import StopCondition
 from repro.core.protocols.decrease_slowly import DecreaseSlowly
 from repro.core.protocols.non_adaptive_with_k import NonAdaptiveWithK
 from repro.core.protocols.suniform import SUniform
+from repro.core.spec import RunSpec
+from repro.engine import execute
+from repro.experiments.checkpoint import CheckpointJournal, use_checkpoint
 from repro.experiments.harness import (
     SEED_STRIDE,
+    Cell,
     ExperimentReport,
     config_seed,
-    repeat_protocol_runs,
-    repeat_schedule_runs,
+    fold_sample,
+    run_grid,
     run_seed,
-    sweep_protocol,
-    sweep_schedule,
     worst_sample,
 )
 
 
+def ladder_spec(k: int, **changes) -> RunSpec:
+    return RunSpec(
+        k=k, protocol=NonAdaptiveWithK(k, 4), adversary=StaticSchedule(),
+        max_rounds=40 * k, **changes,
+    )
+
+
+def suniform_spec(k: int, **changes) -> RunSpec:
+    return RunSpec(
+        k=k, protocol=lambda: SUniform(), adversary=StaticSchedule(),
+        max_rounds=64 * k, **changes,
+    )
+
+
+def one_sample(spec: RunSpec, seed: int, reps: int):
+    (runs,) = run_grid([Cell.repeated(spec, seed, reps)])
+    return fold_sample(runs)
+
+
 class TestRepeatScheduleRuns:
+    """Schedule cells folded into samples."""
+
     def test_collects_all_reps(self):
-        sample = repeat_schedule_runs(
-            16,
-            lambda k: NonAdaptiveWithK(k, 4),
-            StaticSchedule(),
-            reps=4,
-            seed=0,
-            max_rounds=lambda k: 40 * k,
-        )
+        sample = one_sample(ladder_spec(16), seed=0, reps=4)
         assert sample.runs == 4
         assert sample.failures == 0
         assert sample.k == 16
         assert len(sample.max_latency) == 4
+        assert len(sample.run_seconds) == len(sample.run_retries) == 4
 
     def test_label_defaults_to_schedule_name(self):
-        sample = repeat_schedule_runs(
-            8, lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(),
-            reps=1, seed=0, max_rounds=lambda k: 40 * k,
-        )
+        sample = one_sample(ladder_spec(8), seed=0, reps=1)
         assert sample.label.startswith("NonAdaptiveWithK")
+        assert one_sample(ladder_spec(8, label="x"), seed=0, reps=1).label == "x"
 
     def test_deterministic_given_seed(self):
         def run():
-            return repeat_schedule_runs(
-                16, lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(),
-                reps=3, seed=7, max_rounds=lambda k: 40 * k,
-            ).row()
+            return one_sample(ladder_spec(16), seed=7, reps=3).row()
 
         assert run() == run()
 
     def test_first_success_stop(self):
-        sample = repeat_schedule_runs(
-            16, lambda k: DecreaseSlowly(2), StaticSchedule(),
-            reps=3, seed=1, max_rounds=lambda k: 64 * k,
-            stop=StopCondition.FIRST_SUCCESS,
+        spec = RunSpec(
+            k=16, protocol=DecreaseSlowly(2), adversary=StaticSchedule(),
+            max_rounds=64 * 16, stop=StopCondition.FIRST_SUCCESS,
         )
-        assert len(sample.first_success) == 3
+        assert len(one_sample(spec, seed=1, reps=3).first_success) == 3
 
 
 class TestRepeatProtocolRuns:
+    """Protocol-factory cells folded into samples."""
+
     def test_object_engine_protocols(self):
-        sample = repeat_protocol_runs(
-            12, lambda: SUniform(), StaticSchedule(),
-            reps=2, seed=2, max_rounds=lambda k: 64 * k,
-            label="suniform",
-        )
+        sample = one_sample(suniform_spec(12, label="suniform"), seed=2, reps=2)
         assert sample.runs == 2
         assert sample.failures == 0
         assert sample.label == "suniform"
 
     def test_adaptive_adversary_supported(self):
-        sample = repeat_protocol_runs(
-            6, lambda: SUniform(), DripFeedAdversary(interval=2),
-            reps=1, seed=3, max_rounds=lambda k: 200 * k,
+        spec = RunSpec(
+            k=6, protocol=lambda: SUniform(),
+            adversary=DripFeedAdversary(interval=2), max_rounds=200 * 6,
         )
-        assert sample.runs == 1
+        assert one_sample(spec, seed=3, reps=1).runs == 1
 
 
 class TestSweeps:
+    """Multi-cell grids: one CellRuns per cell, in grid order."""
+
     def test_sweep_schedule_one_sample_per_k(self):
-        samples = sweep_schedule(
-            (8, 16), lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(),
-            reps=2, seed=4, max_rounds=lambda k: 40 * k,
-        )
-        assert [s.k for s in samples] == [8, 16]
+        grid = run_grid(Cell.repeated(ladder_spec(k), 4, 2) for k in (8, 16))
+        assert [fold_sample(runs).k for runs in grid] == [8, 16]
 
     def test_sweep_protocol_one_sample_per_k(self):
-        samples = sweep_protocol(
-            (4, 8), lambda: SUniform(), StaticSchedule(),
-            reps=1, seed=5, max_rounds=lambda k: 64 * k,
-        )
-        assert [s.k for s in samples] == [4, 8]
+        grid = run_grid(Cell.repeated(suniform_spec(k), 5, 1) for k in (4, 8))
+        assert [fold_sample(runs).k for runs in grid] == [4, 8]
 
     def test_sweep_seeds_differ_by_k(self):
-        # Different ks get decorrelated seeds (SEED_STRIDE apart): the
-        # latency sequences should not be identical when k is identical by
-        # construction of two single-k sweeps with different indices.
-        a = sweep_schedule(
-            (8, 8), lambda k: NonAdaptiveWithK(k, 4), StaticSchedule(),
-            reps=2, seed=6, max_rounds=lambda k: 40 * k,
+        # Configurations SEED_STRIDE apart get decorrelated seeds: two
+        # identical configurations at different sweep indices differ.
+        a, b = (
+            fold_sample(runs)
+            for runs in run_grid(
+                Cell.repeated(ladder_spec(8), config_seed(6, i), 2) for i in (0, 1)
+            )
         )
-        assert a[0].max_latency != a[1].max_latency or (
-            a[0].energy != a[1].energy
-        )
+        assert a.max_latency != b.max_latency or a.energy != b.energy
+
+
+class TestRunGrid:
+    def test_results_align_with_explicit_seeds(self):
+        spec = ladder_spec(8)
+        seeds = (11, 3, 17 * 2)
+        (runs,) = run_grid([Cell(spec, seeds)])
+        assert [result.seed for result in runs.results] == list(seeds)
+        assert runs.results == [execute(spec.with_seed(s)) for s in seeds]
+        assert len(runs.seconds) == len(runs.retries) == len(seeds)
+
+    def test_empty_grid(self):
+        assert run_grid([]) == []
+
+    def test_fold_reuses_collect(self):
+        from repro.analysis.metrics import collect
+
+        spec = suniform_spec(6, label="s")
+        (runs,) = run_grid([Cell.repeated(spec, 1, 2)])
+        folded = fold_sample(runs)
+        assert folded.row() == collect("s", 6, runs.results).row()
+        assert folded.run_seconds == runs.seconds
+
+    def test_traced_cells_are_not_journaled(self, tmp_path):
+        # The journal drops traces, so a resumed traced run would come back
+        # without the trace its driver reads: traced specs bypass it.
+        journal = CheckpointJournal(tmp_path / "j.runs.jsonl")
+        traced = ladder_spec(6, record_trace=True)
+        with use_checkpoint(journal):
+            (runs,) = run_grid([Cell.repeated(traced, 1, 2)])
+        assert journal.records_written == 0
+        assert all(result.trace is not None for result in runs.results)
+
+    def test_grid_matches_per_cell_grids(self):
+        cells = [
+            Cell.repeated(ladder_spec(8), 1, 3),
+            Cell.repeated(suniform_spec(6), 2, 2),
+            Cell.repeated(ladder_spec(12), 3, 1),
+        ]
+        together = run_grid(cells)
+        apart = [run_grid([cell])[0] for cell in cells]
+        assert [r.results for r in together] == [r.results for r in apart]
 
 
 class TestSeedSpacing:

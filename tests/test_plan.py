@@ -41,7 +41,8 @@ from repro.engine.plan import (
     use_tiling,
 )
 from repro.experiments.checkpoint import CheckpointJournal, use_checkpoint
-from repro.experiments.harness import repeat_schedule_runs
+from repro.experiments.executor import use_batch_size, use_jobs
+from repro.experiments.harness import Cell, fold_sample, run_grid
 from repro.telemetry import registry as telemetry
 from tests.conftest import make_factory
 from tests.test_batched import batch_configs, canonical, sample_rows
@@ -270,14 +271,14 @@ class TestHarnessTileScheduling:
 
     KW = dict(reps=17, seed=991)
 
-    def run_once(self, **kw):
-        merged = dict(self.KW, **kw)
-        return repeat_schedule_runs(
-            12,
-            lambda k: NonAdaptiveWithK(k, 6),
-            UniformRandomSchedule(),
-            **merged,
+    def run_once(self, batch_size=None, jobs=None):
+        spec = RunSpec(
+            k=12, protocol=NonAdaptiveWithK(12, 6), adversary=UniformRandomSchedule()
         )
+        cell = Cell.repeated(spec, self.KW["seed"], self.KW["reps"])
+        with use_batch_size(batch_size), use_jobs(jobs):
+            (runs,) = run_grid([cell])
+        return fold_sample(runs)
 
     def test_tiling_invariant_rows(self):
         baseline = self.run_once(batch_size=64)

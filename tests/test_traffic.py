@@ -516,12 +516,18 @@ class TestTrafficPhaseExperiment:
         assert "lam*" in report.text
 
     def test_scalar_cli_overrides_normalised(self):
-        # CLI "--lams 0.1 --protocols aloha" reach the driver as scalars,
-        # not one-element tuples; they must not be iterated as characters.
-        report = run_experiment(
-            "traffic_phase", stations=3, lams=0.1, protocols="aloha",
-            horizon=200, reps=1, window=64,
-        )
+        # CLI "--lams 0.1 --protocols aloha" reach the driver as one-element
+        # tuples (coerced from its Sequence annotations), so "aloha" is
+        # never iterated as characters.
+        from repro.cli import _parse_overrides
+
+        overrides = _parse_overrides("traffic_phase", [
+            "--stations", "3", "--lams", "0.1", "--protocols", "aloha",
+            "--horizon", "200", "--reps", "1", "--window", "64",
+        ])
+        assert overrides["lams"] == (0.1,)
+        assert overrides["protocols"] == ("aloha",)
+        report = run_experiment("traffic_phase", **overrides)
         assert len(report.rows) == 1
         assert report.rows[0]["protocol"] == "Aloha(p=0.1)"
 
