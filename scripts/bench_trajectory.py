@@ -82,6 +82,10 @@ COMPILED_CD_CASE = "test_bench_compiled_cd_batch"
 #: the per-run-loop/faulted-kernel ratio is the batching win the fault
 #: lowering preserves (``fault_path_speedup``; its per-run loop is the
 #: kernel once per seed from the first ``fusion_speedup`` entry on).
+#: The quick table1_latency AdaptiveNoK grid as one compiled call per
+#: cell vs one ``run_grid`` fusing the cells (-> ``grid_fusion_speedup``).
+GRID_PER_CELL_CASE = "test_bench_grid_per_cell_calls"
+GRID_FUSED_CASE = "test_bench_grid_fused"
 FAULT_NONE_CASE = "test_bench_fault_none_kernel"
 FAULT_BATCHED_CASE = "test_bench_fault_batched_kernel"
 FAULT_PER_RUN_CASE = "test_bench_fault_per_run_loop"
@@ -202,6 +206,12 @@ def normalise(report: dict, reps: int | None) -> dict:
         entry["cd_speedup"] = round(
             obj_cd["median_ns"] / comp_cd["median_ns"], 2
         )
+    grid_per_cell = cases.get(GRID_PER_CELL_CASE)
+    grid_fused = cases.get(GRID_FUSED_CASE)
+    if grid_per_cell and grid_fused and grid_fused["median_ns"] > 0:
+        entry["grid_fusion_speedup"] = round(
+            grid_per_cell["median_ns"] / grid_fused["median_ns"], 2
+        )
     fault_none = cases.get(FAULT_NONE_CASE)
     fault_batched = cases.get(FAULT_BATCHED_CASE)
     fault_per_run = cases.get(FAULT_PER_RUN_CASE)
@@ -237,6 +247,11 @@ def main(argv: list[str] | None = None) -> int:
         "--min-adaptive-speedup", type=float, default=None,
         help="fail unless the compiled BurstOnQuiet adaptive-adversary "
         "batch beats the per-run object loop by this factor",
+    )
+    parser.add_argument(
+        "--min-grid-fusion-speedup", type=float, default=None,
+        help="fail unless one run_grid over the quick table1_latency "
+        "AdaptiveNoK grid beats one compiled call per cell by this factor",
     )
     parser.add_argument(
         "--out", type=Path, default=BENCH_FILE,
@@ -294,6 +309,12 @@ def main(argv: list[str] | None = None) -> int:
             "compiled CD-feedback speedup over per-run object loop: "
             f"{cd_speedup:.2f}x"
         )
+    grid_fusion_speedup = entry.get("grid_fusion_speedup")
+    if grid_fusion_speedup is not None:
+        print(
+            "grid fusion speedup over one compiled call per cell: "
+            f"{grid_fusion_speedup:.2f}x"
+        )
     fault_overhead = entry.get("fault_overhead")
     if fault_overhead is not None:
         print(
@@ -349,6 +370,21 @@ def main(argv: list[str] | None = None) -> int:
                 f"error: adaptive speedup {adaptive_speedup:.2f}x is below "
                 f"the --min-adaptive-speedup gate "
                 f"{args.min_adaptive_speedup:g}x",
+                file=sys.stderr,
+            )
+            return 1
+    if args.min_grid_fusion_speedup is not None:
+        if grid_fusion_speedup is None:
+            print(
+                "error: grid fusion cases missing from the benchmark report",
+                file=sys.stderr,
+            )
+            return 1
+        if grid_fusion_speedup < args.min_grid_fusion_speedup:
+            print(
+                f"error: grid fusion speedup {grid_fusion_speedup:.2f}x is "
+                f"below the --min-grid-fusion-speedup gate "
+                f"{args.min_grid_fusion_speedup:g}x",
                 file=sys.stderr,
             )
             return 1

@@ -9,7 +9,7 @@ hand-curated EXPERIMENTS.md, for archiving a specific run's numbers.
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.experiments.harness import ExperimentReport
@@ -59,12 +59,24 @@ def suite_markdown(
     *,
     title: str = "Suite report",
     timestamp: bool = True,
+    failures: Optional[dict[str, str]] = None,
 ) -> str:
-    """A whole suite run as a single Markdown document."""
+    """A whole suite run as a single Markdown document.
+
+    ``failures`` maps experiments that raised to their exception type and
+    message; they are listed first, under "Failed experiments".
+    """
     parts = [f"# {title}", ""]
     if timestamp:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M UTC")
         parts.extend([f"*Generated {stamp}; {len(reports)} experiments.*", ""])
+    if failures:
+        parts.extend(["## Failed experiments", ""])
+        parts.extend(
+            f"- `{experiment_id}`: {failures[experiment_id]}"
+            for experiment_id in sorted(failures)
+        )
+        parts.append("")
     for experiment_id in sorted(reports):
         parts.append(report_markdown(reports[experiment_id]))
         parts.append("")

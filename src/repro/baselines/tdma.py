@@ -20,7 +20,6 @@ asynchronous model:
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
@@ -35,19 +34,27 @@ __all__ = ["AlignedTDMA", "tdma_factory"]
 class AlignedTDMA(Protocol):
     """Transmit in local rounds congruent to ``slot`` modulo ``frame``.
 
+    ``slot=None`` (what :func:`tdma_factory` builds) takes
+    ``station_id % frame`` at :meth:`begin`: the simulator numbers
+    stations in wake order, so consecutive stations get consecutive slots.
     Retries every frame until acknowledged (so under misalignment it keeps
     colliding rather than giving up — the instructive failure mode).
     """
 
-    def __init__(self, slot: int, frame: int):
+    def __init__(self, slot: Optional[int], frame: int):
         super().__init__()
         if frame < 1:
             raise ValueError(f"frame must be >= 1, got {frame}")
-        if not 0 <= slot < frame:
+        if slot is not None and not 0 <= slot < frame:
             raise ValueError(f"slot must be in [0, {frame}), got {slot}")
         self.slot = slot
         self.frame = frame
         self.name = f"TDMA(frame={frame})"
+
+    def begin(self, station_id: int, rng: np.random.Generator) -> None:
+        super().begin(station_id, rng)
+        if self.slot is None:
+            self.slot = station_id % self.frame
 
     def decide(self, local_round: int) -> Optional[Transmission]:
         if local_round % self.frame == self.slot:
@@ -60,16 +67,16 @@ class AlignedTDMA(Protocol):
 
 
 def tdma_factory(frame: int):
-    """Factory assigning consecutive slots to consecutively created stations.
+    """Factory for stations that take consecutive slots in wake order.
 
-    The simulator creates one protocol per station in wake order, so this
-    hands out IDs implicitly — which is precisely the extra power TDMA
+    The slot comes from the station id the simulator assigns at
+    activation, not from the factory, so every run (and every probe of a
+    spec) sees the same slots — the ids are precisely the extra power TDMA
     needs and the paper's anonymous model forbids.
     """
-    counter = itertools.count()
 
     def make() -> AlignedTDMA:
-        return AlignedTDMA(slot=next(counter) % frame, frame=frame)
+        return AlignedTDMA(slot=None, frame=frame)
 
     make.protocol_name = f"TDMA(frame={frame})"
     return make

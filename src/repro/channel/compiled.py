@@ -81,15 +81,20 @@ Speed comes from batching: the per-round numpy cost is amortised over all
 ``R x k`` lanes, so the engine pays off on repetition sweeps (the
 1000-rep acceptance configuration in ``benchmarks/test_bench_compiled.py``
 clears 10x over the object engine) while a single small run is dominated
-by setup.  Dispatch (:func:`repro.engine.dispatch.execute_batch`) fuses
-repetitions through this path exactly when the spec is
-compiled-admissible.
+by setup — and a round costs about the same at 100 lanes as at 1000, so
+a grid of small cells is dominated by the number of rounds stepped.
+:func:`run_compiled_runs` therefore takes runs of *many* specs in one
+call: each repetition holds its own ``k`` (a lane range), horizon, stop
+round and wake source, and only the program, feedback, stop condition and
+``jam_rounds`` are shared.  Dispatch
+(:func:`repro.engine.dispatch.execute_fused`) groups compiled-admissible
+specs by exactly that key.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -125,10 +130,11 @@ from repro.engine.compile import (
     adversary_lowering_reason,
     compile_adversary,
     compile_spec,
+    fuse_programs,
 )
 from repro.telemetry import registry as telemetry
 
-__all__ = ["CompiledSimulator", "run_compiled_batch"]
+__all__ = ["CompiledSimulator", "run_compiled_batch", "run_compiled_runs"]
 
 #: "Never happens" sentinel for round numbers (first success / switch-off).
 _INF = np.iinfo(np.int64).max
@@ -248,7 +254,8 @@ class _Lanes:
         self.off = np.full(N, _INF, dtype=np.int64)
         self.tx = np.zeros(N, dtype=np.int64)
         self.listen = np.zeros(N, dtype=np.int64)
-        # Per-round scratch (reset per round on the active subset).
+        # Per-round scratch (transmit/payload reset on the round's
+        # transmitters, sym cleared every round).
         self.transmit = np.zeros(N, dtype=bool)
         self.payload = np.zeros(N, dtype=np.int8)
         self.sym = np.zeros(N, dtype=np.int8)
@@ -323,48 +330,124 @@ def run_compiled_batch(
     :class:`AdaptiveAdversary` machines, ACK-only or collision-detection
     feedback, no stateful jammer and no trace request.
 
-    Repetitions stream through memory-bounded tiles: each seed's RNG
-    fan-out is independent, so slicing the seed list is byte-identical to
-    one monolithic pass.  ``tile_reps``/``memory_budget`` default to the
-    process-wide tiling defaults (see :mod:`repro.engine.plan`); the
-    program is compiled once and shared by every tile.
+    The one-spec case of :func:`run_compiled_runs` (tiling included).
     """
-    if isinstance(spec.adversary, WakeSchedule):
-        adv_program = None
-    elif isinstance(spec.adversary, AdaptiveAdversary):
-        reason = adversary_lowering_reason(spec.adversary)
+    seed_list = _resolve_seeds(spec, n_reps, seeds)
+    return run_compiled_runs(
+        [(spec, seed) for seed in seed_list],
+        program,
+        tile_reps=tile_reps,
+        memory_budget=memory_budget,
+    )
+
+
+class _SpecFacts(NamedTuple):
+    """What the stepper reads from one distinct spec of a fused call."""
+
+    k: int
+    horizon: int
+    adv_program: Optional[AdversaryProgram]
+    deadline: int
+    protocol_name: str
+    adversary_name: str
+
+
+def _spec_facts(spec: RunSpec) -> _SpecFacts:
+    adversary = spec.adversary
+    if isinstance(adversary, WakeSchedule):
+        adv_program, deadline = None, 0
+    elif isinstance(adversary, AdaptiveAdversary):
+        reason = adversary_lowering_reason(adversary)
         if reason is not None:
             raise TypeError(f"run_compiled_batch: {reason}")
-        adv_program = compile_adversary(spec.adversary)
+        adv_program = compile_adversary(adversary)
+        deadline = adversary.deadline(spec.k)
     else:
         raise TypeError(
             "run_compiled_batch needs a WakeSchedule or a lowerable "
             "AdaptiveAdversary (spec.adversary is "
-            f"{type(spec.adversary).__name__})"
+            f"{type(adversary).__name__})"
         )
+    return _SpecFacts(
+        k=spec.k,
+        horizon=spec.resolve_horizon(),
+        adv_program=adv_program,
+        deadline=deadline,
+        protocol_name=getattr(spec.protocol_factory, "protocol_name", ""),
+        adversary_name=getattr(adversary, "name", ""),
+    )
+
+
+def run_compiled_runs(
+    runs: Sequence[tuple[RunSpec, Optional[int]]],
+    program: Optional[CompiledProgram] = None,
+    *,
+    tile_reps: Optional[int] = None,
+    memory_budget: Optional[object] = None,
+) -> list[RunResult]:
+    """Execute every ``(spec, seed)`` run through one compiled stepper pass.
+
+    The runs may come from different specs: each repetition carries its
+    own ``k``, horizon and wake source (an oblivious schedule's draw or a
+    lowerable adaptive adversary), so a whole grid of cells steps its
+    rounds once.  The specs must share feedback, stop condition and
+    ``jam_rounds``, and their protocols must lower to one program
+    (:func:`repro.engine.compile.fuse_programs`); ``program`` may pass
+    that program in.  Result ``i`` is byte-identical to the object-engine
+    run of ``runs[i]``: every repetition owns its RNG fan-out, and nothing
+    crosses repetitions but the round counter.
+
+    Repetitions stream through memory-bounded tiles sized for the
+    costliest spec of the call (slicing the run list is byte-identical
+    to one pass).  ``tile_reps``/``memory_budget`` default to the
+    process-wide tiling defaults (see :mod:`repro.engine.plan`).
+    """
+    facts: dict[int, _SpecFacts] = {}
+    specs: list[RunSpec] = []
+    for spec, _ in runs:
+        if id(spec) in facts:
+            continue
+        first = specs[0] if specs else spec
+        if (spec.feedback, spec.stop, spec.jam_rounds) != (
+            first.feedback, first.stop, first.jam_rounds
+        ):
+            raise ValueError(
+                "fused compiled runs must share feedback, stop condition "
+                f"and jam_rounds ({spec.display_label!r} differs from "
+                f"{first.display_label!r})"
+            )
+        facts[id(spec)] = _spec_facts(spec)
+        specs.append(spec)
+    if not specs:
+        return []
     if program is None:
-        program = compile_spec(spec)
+        program = fuse_programs([compile_spec(spec) for spec in specs])
+        if program is None:
+            raise ValueError(
+                "fused compiled runs must lower to one program; "
+                f"{sorted({s.display_label for s in specs})} do not"
+            )
     if (
         program.kind == "cd_aimd"
-        and spec.feedback is not FeedbackModel.COLLISION_DETECTION
+        and specs[0].feedback is not FeedbackModel.COLLISION_DETECTION
     ):
         raise TypeError(
             "CdAimdProtocol requires FeedbackModel.COLLISION_DETECTION "
             "(the object engine raises at the first observation; the "
             "compiled stepper refuses the spec up front)"
         )
-    seed_list = _resolve_seeds(spec, n_reps, seeds)
-    R = len(seed_list)
-    if R == 0:
-        return []
     from repro.engine.plan import (
         BatchMemoryError,
         build_plan,
+        estimate_rep_bytes,
         oversized_batch_message,
     )
 
+    costliest = (
+        specs[0] if len(specs) == 1 else max(specs, key=estimate_rep_bytes)
+    )
     plan = build_plan(
-        spec, R, memory_budget=memory_budget, tile_reps=tile_reps
+        costliest, len(runs), memory_budget=memory_budget, tile_reps=tile_reps
     )
     results: list[RunResult] = []
     for lo, hi in plan.rep_slices():
@@ -373,67 +456,84 @@ def run_compiled_batch(
                 telemetry.count("tile.runs")
                 telemetry.count("tile.reps", hi - lo)
             try:
-                results.extend(
-                    _run_compiled_tile(
-                        spec, seed_list[lo:hi], program, adv_program
-                    )
-                )
+                results.extend(_run_compiled_tile(runs[lo:hi], facts, program))
             except BatchMemoryError:
                 raise
             except MemoryError as error:
                 raise BatchMemoryError(
-                    oversized_batch_message(spec, hi - lo)
+                    oversized_batch_message(costliest, hi - lo)
                 ) from error
     return results
 
 
+def _lane_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``range(start, start + count)`` per pair, in order."""
+    total = int(counts.sum())
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(starts, counts) + offsets
+
+
 def _run_compiled_tile(
-    spec: RunSpec,
-    seed_list: Sequence[Optional[int]],
+    runs: Sequence[tuple[RunSpec, Optional[int]]],
+    facts: dict[int, _SpecFacts],
     program: CompiledProgram,
-    adv_program: Optional[AdversaryProgram] = None,
 ) -> list[RunResult]:
-    """One rep tile: the monolithic compiled stepper over ``seed_list``."""
-    R = len(seed_list)
+    """One rep tile: the stepper over ``runs``, one repetition per run.
+
+    Repetition ``r`` owns lanes ``lane_lo[r] .. lane_lo[r + 1] - 1`` (its
+    ``k`` stations in chronological wake order) and retires at its own
+    stop round or horizon; the loop runs until every repetition has.
+    """
+    R = len(runs)
     phase = telemetry.timer()
     if phase:
         telemetry.count("compiled.batches")
         telemetry.count("compiled.reps", R)
 
-    k = spec.k
-    N = R * k
-    max_rounds = spec.resolve_horizon()
-    stop = spec.stop
-    jam_set = frozenset(spec.jam_rounds) if spec.jam_rounds is not None else None
+    first = runs[0][0]
+    stop = first.stop
+    jam_set = frozenset(first.jam_rounds) if first.jam_rounds is not None else None
     # The object engine consumes one RNG child for the ScheduledJammer it
     # wraps jam_rounds in; mirror that to keep station children aligned.
-    base_children = 2 if spec.jam_rounds is not None else 1
-    adaptive_adv = adv_program is not None
-    cd = spec.feedback is FeedbackModel.COLLISION_DETECTION
+    base_children = 2 if first.jam_rounds is not None else 1
+    cd = first.feedback is FeedbackModel.COLLISION_DETECTION
+
+    rep_facts = [facts[id(spec)] for spec, _ in runs]
+    k_rep = np.array([f.k for f in rep_facts], dtype=np.int64)
+    max_rep = np.array([f.horizon for f in rep_facts], dtype=np.int64)
+    adaptive_rep = np.array(
+        [f.adv_program is not None for f in rep_facts], dtype=bool
+    )
+    lane_lo = np.zeros(R + 1, dtype=np.int64)
+    np.cumsum(k_rep, out=lane_lo[1:])
+    lane_bounds = lane_lo.tolist()
+    N = lane_bounds[-1]
+    max_rounds = int(max_rep.max())
+    any_adaptive = bool(adaptive_rep.any())
     # The adversary tables (and CD delivery) need the per-repetition
     # channel outcome every round, even on jammed ones.
-    need_outcome = adaptive_adv or cd
+    need_outcome = any_adaptive or cd
 
     # ---- per-repetition seed fan-out and wake draws (chronological).
-    wake = np.empty(N, dtype=np.int64)
+    # Adaptive repetitions decide wake rounds online (wake stays _INF
+    # until then); their lanes are still pre-assigned in chronological
+    # wake order (the j-th lane of a repetition becomes its j-th woken
+    # station), so the RNG children pair up exactly as the object
+    # engine's successive next_generator() calls.  Their adversary child
+    # (kids[0]) is spawned for stream alignment; none of the lowerable
+    # adversaries draws from it.
+    wake = np.full(N, _INF, dtype=np.int64)
     children: list = [None] * N
-    adversary = spec.adversary
-    if adaptive_adv:
-        # Wake rounds are decided online; lanes are still pre-assigned in
-        # chronological wake order (the j-th lane of a repetition becomes
-        # its j-th woken station), so the RNG children pair up exactly as
-        # the object engine's successive next_generator() calls.  The
-        # adversary child (kids[0]) is spawned for stream alignment; none
-        # of the lowerable adversaries draws from it.
-        wake.fill(_INF)
-        for rep, seed in enumerate(seed_list):
-            kids = np.random.SeedSequence(seed).spawn(base_children + k)
-            children[rep * k : (rep + 1) * k] = kids[base_children:]
-    else:
-        for rep, seed in enumerate(seed_list):
-            kids = np.random.SeedSequence(seed).spawn(base_children + k)
+    for rep, (spec, seed) in enumerate(runs):
+        k = rep_facts[rep].k
+        lo = lane_bounds[rep]
+        kids = np.random.SeedSequence(seed).spawn(base_children + k)
+        children[lo : lo + k] = kids[base_children:]
+        if rep_facts[rep].adv_program is None:
             adversary_rng = np.random.Generator(np.random.PCG64(kids[0]))
-            rounds = adversary.wake_rounds(k, adversary_rng)
+            rounds = spec.adversary.wake_rounds(k, adversary_rng)
             if len(rounds) != k:
                 raise ValueError(
                     f"adversary produced {len(rounds)} wake rounds for k={k}"
@@ -443,10 +543,9 @@ def _run_compiled_tile(
             # children in chronological wake order, so sort each repetition's
             # draws and pair child j with the j-th woken station.
             drawn.sort(kind="stable")
-            wake[rep * k : (rep + 1) * k] = drawn
-            children[rep * k : (rep + 1) * k] = kids[base_children:]
+            wake[lo : lo + k] = drawn
 
-    rep_of = np.repeat(np.arange(R, dtype=np.int64), k)
+    rep_of = np.repeat(np.arange(R, dtype=np.int64), k_rep)
     lanes = _Lanes(N, program)
     rng = _LaneRng(children, program.buffer_len)
 
@@ -455,8 +554,14 @@ def _run_compiled_tile(
     succeeded = np.zeros(R, dtype=np.int64)
     switched_off = np.zeros(R, dtype=np.int64)
     rep_live = np.ones(R, dtype=bool)
-    stop_round = np.full(R, max_rounds, dtype=np.int64)
+    stop_round = max_rep.copy()
     rep_completed = np.zeros(R, dtype=bool)
+    # Repetitions by horizon: one past its horizon a repetition retires
+    # uncompleted, exactly where the object engine's loop ends.
+    expiry_order = np.argsort(max_rep, kind="stable")
+    expiry = max_rep[expiry_order].tolist()
+    expiry_order = expiry_order.tolist()
+    expiry_ptr = 0
 
     kind = program.kind
     adaptive = kind == "adaptive_no_k"
@@ -467,119 +572,136 @@ def _run_compiled_tile(
     ack_guard = program.ack_payload_guard
     parity_guard = program.control_parity_guard
     prob_rows = program.prob_rows
-    guarded_acks = bool(np.any(ack_guard != PAYLOAD_ANY))
-    any_parity_guard = bool(parity_guard.any())
 
-    # started[lane]: wake < current round (the lane decides/observes).
-    # lane_live[lane]: the lane's repetition has not stopped.
-    started = np.zeros(N, dtype=bool)
-    lane_live = np.ones(N, dtype=bool)
-    if adaptive_adv:
+    # Oblivious lanes sorted by wake round: pointer sweeps turn per-round
+    # wake processing into O(1) amortised work instead of an O(N) scan.
+    # Adaptive lanes (wake _INF) sort last and are left out.
+    n_oblivious = int(k_rep[~adaptive_rep].sum())
+    wake_order = np.argsort(wake, kind="stable")[:n_oblivious]
+    wake_sorted = wake[wake_order]
+    wake_ptr = int(np.searchsorted(wake_sorted, 0, side="right"))
+    woken += np.bincount(rep_of[wake_order[:wake_ptr]], minlength=R)
+    started_ptr = 0
+    pending_started = np.empty(0, dtype=np.int64)
+    if any_adaptive:
         # Online wakes: per-repetition Mealy state plus the previous
         # round's outcome drive the wake counts; the deadline force-wake
         # mirrors SlotSimulator (wake_now is still "called" first — the
-        # state steps on deadline rounds too).
-        wake_order = wake_sorted = None
-        wake_ptr = started_ptr = N
-        deadline = adversary.deadline(k)
-        adv_state = np.full(R, adv_program.start_state, dtype=np.int64)
+        # state steps on deadline rounds too).  Distinct adversary
+        # programs are stacked into one table set, each repetition's
+        # state offset into its own block.
+        adv_state = np.zeros(R, dtype=np.int64)
+        deadline = np.zeros(R, dtype=np.int64)
+        wake0 = np.zeros(R, dtype=np.int64)
+        offsets: dict[int, int] = {}
+        next_parts: list[np.ndarray] = []
+        wake_parts: list[np.ndarray] = []
+        for rep in np.flatnonzero(adaptive_rep).tolist():
+            f = rep_facts[rep]
+            prog = f.adv_program
+            offset = offsets.get(id(prog))
+            if offset is None:
+                offset = offsets[id(prog)] = sum(len(p) for p in next_parts)
+                next_parts.append(prog.next_state + offset)
+                wake_parts.append(prog.wake_count)
+            adv_state[rep] = offset + prog.start_state
+            deadline[rep] = f.deadline
+            wake0[rep] = min(prog.wake0, f.k)
+        adv_next = np.concatenate(next_parts)
+        adv_wake = np.concatenate(wake_parts)
         prev_outcome = np.zeros(R, dtype=np.int64)  # round 1 sees silence
-        adv_next = adv_program.next_state
-        adv_wake = adv_program.wake_count
         # Round 0: the unconditional wake_now(0, []) before the loop.
-        wake0 = min(adv_program.wake0, k)
-        if wake0:
-            pending_started = (
-                np.arange(R, dtype=np.int64)[:, None] * k
-                + np.arange(wake0, dtype=np.int64)
-            ).ravel()
-            wake[pending_started] = 0
-            woken += wake0
-        else:
-            pending_started = np.empty(0, dtype=np.int64)
-    else:
-        # Lanes sorted by wake round: pointer sweeps turn per-round wake
-        # processing into O(1) amortised work instead of an O(N) scan.
-        wake_order = np.argsort(wake, kind="stable")
-        wake_sorted = wake[wake_order]
-        wake_ptr = int(np.searchsorted(wake_sorted, 0, side="right"))
-        woken += np.bincount(rep_of[wake_order[:wake_ptr]], minlength=R)
-        started_ptr = 0
+        pending_started = _lane_ranges(lane_lo[:-1], wake0)
+        wake[pending_started] = 0
+        woken += wake0
 
     def _switch_off(idx: np.ndarray, at_round: int) -> None:
         lanes.alive[idx] = False
         lanes.off[idx] = at_round
         np.add.at(switched_off, rep_of[idx], 1)
 
+    def _retire(reps: list[int]) -> None:
+        # A stopped repetition's lanes never act again; they leave the
+        # active pool at the next round's filter.
+        for rep in reps:
+            lanes.alive[lane_bounds[rep] : lane_bounds[rep + 1]] = False
+
     if phase:
         phase.lap("compiled.setup")
 
+    # pool: started lanes not yet known to be dead, ascending (so the
+    # per-repetition winner search below sees repetition-major order).
+    pool = np.empty(0, dtype=np.int64)
     t = 0
     while t < max_rounds and rep_live.any():
         t += 1
+        # 0. Repetitions past their own horizon retire uncompleted.
+        if expiry_ptr < R and expiry[expiry_ptr] < t:
+            expired = []
+            while expiry_ptr < R and expiry[expiry_ptr] < t:
+                rep = expiry_order[expiry_ptr]
+                expiry_ptr += 1
+                if rep_live[rep]:
+                    rep_live[rep] = False
+                    expired.append(rep)
+            _retire(expired)
         # 1. Wakes at the start of round t (dead repetitions stopped in an
         # earlier round; their later wakes never happen and are excluded
         # from the records by the wake <= rounds_executed filter).
-        if adaptive_adv:
-            # Lanes woken last round become active (local round >= 1) now.
-            if pending_started.size:
-                started[pending_started] = True
-                pending_started = pending_started[:0]
+        if wake_ptr < n_oblivious and wake_sorted[wake_ptr] == t:
+            start = wake_ptr
+            wake_ptr = int(np.searchsorted(wake_sorted, t, side="right"))
+            np.add.at(woken, rep_of[wake_order[start:wake_ptr]], 1)
+        # Lanes woken before this round become active (local round >= 1).
+        new_lanes = pending_started
+        if started_ptr < n_oblivious and wake_sorted[started_ptr] < t:
+            start = started_ptr
+            started_ptr = int(np.searchsorted(wake_sorted, t, side="left"))
+            new_lanes = np.concatenate((new_lanes, wake_order[start:started_ptr]))
+        if new_lanes.size:
+            new_lanes.sort()
+            pool = np.insert(pool, np.searchsorted(pool, new_lanes), new_lanes)
+        if any_adaptive:
             # SlotSimulator consults wake_now only while stations remain
             # (and only for still-running repetitions), so the adversary
             # state freezes exactly when the object engine stops calling.
-            eligible = np.flatnonzero(rep_live & (woken < k))
+            eligible = np.flatnonzero(rep_live & adaptive_rep & (woken < k_rep))
+            pending_started = pending_started[:0]
             if eligible.size:
                 s = adv_state[eligible]
                 y = prev_outcome[eligible]
                 adv_state[eligible] = adv_next[s, y]
-                if t >= deadline:
-                    want = k - woken[eligible]
-                else:
-                    want = np.minimum(adv_wake[s, y], k - woken[eligible])
+                budget = k_rep[eligible] - woken[eligible]
+                want = np.where(
+                    t >= deadline[eligible],
+                    budget,
+                    np.minimum(adv_wake[s, y], budget),
+                )
                 waking = want > 0
                 if waking.any():
                     reps_w = eligible[waking]
                     counts_w = want[waking]
-                    starts = reps_w * k + woken[reps_w]
-                    total = int(counts_w.sum())
-                    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                        np.cumsum(counts_w) - counts_w, counts_w
+                    pending_started = _lane_ranges(
+                        lane_lo[reps_w] + woken[reps_w], counts_w
                     )
-                    new_lanes = np.repeat(starts, counts_w) + offsets
-                    wake[new_lanes] = t
+                    wake[pending_started] = t
                     woken[reps_w] += counts_w
-                    pending_started = new_lanes
-        else:
-            if wake_ptr < N:
-                start = wake_ptr
-                while wake_ptr < N and wake_sorted[wake_ptr] == t:
-                    wake_ptr += 1
-                if wake_ptr > start:
-                    woke_now = wake_order[start:wake_ptr]
-                    np.add.at(woken, rep_of[woke_now], 1)
-
-            # Active = woken before this round, not off, rep still live.
-            while started_ptr < N and wake_sorted[started_ptr] < t:
-                started[wake_order[started_ptr]] = True
-                started_ptr += 1
-        act = np.flatnonzero(started & lanes.alive & lane_live)
+        pool = pool[lanes.alive[pool]]
+        act = pool
         if act.size == 0:
             # No station can act; the channel is silent (an empty round is
             # SILENCE even when jammed) and only the stop check below can
             # change anything.
-            if adaptive_adv:
+            if any_adaptive:
                 prev_outcome.fill(ADV_SILENCE)
-            for rep in _check_stops(
-                stop, rep_live, woken, succeeded, switched_off, k,
+            _retire(_check_stops(
+                stop, rep_live, woken, succeeded, switched_off, k_rep,
                 stop_round, rep_completed, t,
-            ):
-                lane_live[rep * k : (rep + 1) * k] = False
+            ))
             continue
 
-        # 2. Decisions (lanes with local round >= 1).
-        lanes.transmit.fill(False)
-        lanes.payload.fill(0)
+        # 2. Decisions (lanes with local round >= 1).  The transmit and
+        # payload scratch is clear: last round reset its transmitters.
         if kind == "schedule":
             act = _decide_schedule(lanes, rng, act, prob_rows[0], horizon,
                                    wake, t, rep_of, switched_off)
@@ -627,7 +749,7 @@ def _run_compiled_tile(
                     ADV_COLLISION,
                     np.where(counts == 1, ADV_SUCCESS, ADV_SILENCE),
                 )
-            if adaptive_adv:
+            if any_adaptive:
                 prev_outcome = outcome_rep
 
         # 4. Observations: first-success bookkeeping, then the machine's
@@ -675,12 +797,14 @@ def _run_compiled_tile(
                 lambda idx: _switch_off(idx, t),
             )
 
+        lanes.transmit[tx_lanes] = False
+        lanes.payload[tx_lanes] = 0
+
         # 5. Stop conditions (after retirement, as the object engine).
-        for rep in _check_stops(
-            stop, rep_live, woken, succeeded, switched_off, k,
+        _retire(_check_stops(
+            stop, rep_live, woken, succeeded, switched_off, k_rep,
             stop_round, rep_completed, t,
-        ):
-            lane_live[rep * k : (rep + 1) * k] = False
+        ))
 
     if phase:
         telemetry.count("compiled.rounds", t)
@@ -688,20 +812,19 @@ def _run_compiled_tile(
 
     # ---- materialise per-repetition results (object-engine view: only
     # stations woken by the stop round exist, ids in wake order).
-    rounds_executed = np.where(rep_completed, stop_round, max_rounds)
+    rounds_executed = stop_round.tolist()
+    completed = rep_completed.tolist()
     fs_list = lanes.fs.tolist()
     off_list = lanes.off.tolist()
     tx_list = lanes.tx.tolist()
     listen_list = lanes.listen.tolist()
     wake_list = wake.tolist()
     results = []
-    protocol_name = getattr(spec.protocol_factory, "protocol_name", "")
-    adversary_name = getattr(adversary, "name", "")
-    for rep, seed in enumerate(seed_list):
-        upto = int(rounds_executed[rep])
-        base = rep * k
+    for rep, (_, seed) in enumerate(runs):
+        upto = rounds_executed[rep]
+        base = lane_bounds[rep]
         count = int(
-            np.searchsorted(wake[base : base + k], upto, side="right")
+            np.searchsorted(wake[base : lane_bounds[rep + 1]], upto, side="right")
         )
         records = [
             StationRecord(
@@ -722,12 +845,12 @@ def _run_compiled_tile(
             RunResult(
                 records=records,
                 rounds_executed=upto,
-                completed=bool(rep_completed[rep]),
+                completed=completed[rep],
                 stop=stop,
                 trace=None,
                 seed=seed,
-                protocol_name=protocol_name,
-                adversary_name=adversary_name,
+                protocol_name=rep_facts[rep].protocol_name,
+                adversary_name=rep_facts[rep].adversary_name,
             )
         )
     if phase:
@@ -741,7 +864,7 @@ def _check_stops(
     woken: np.ndarray,
     succeeded: np.ndarray,
     switched_off: np.ndarray,
-    k: int,
+    k: np.ndarray,
     stop_round: np.ndarray,
     rep_completed: np.ndarray,
     t: int,

@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.enable(trace_sample=max(0, int(args.trace_sample)))
 
     if args.command == "suite":
-        from repro.experiments.suite import run_suite
+        from repro.experiments.suite import SuiteFailed, run_suite
 
         only = args.only.split(",") if args.only else None
         try:
@@ -328,6 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         except KeyError as error:
             print(error.args[0], file=sys.stderr)
             return 2
+        except SuiteFailed as error:
+            print(error, file=sys.stderr)
+            _export_telemetry(telemetry_dir)
+            return 1
         _export_telemetry(telemetry_dir)
         return 0
 

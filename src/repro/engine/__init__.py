@@ -34,8 +34,11 @@ from repro.engine.dispatch import (
     assert_results_identical,
     build_simulator,
     compiled_inadmissibility,
+    batch_engine,
+    compiled_fusion_groups,
     execute,
     execute_batch,
+    execute_fused,
     get_default_engine,
     select_engine,
     set_default_engine,
@@ -72,8 +75,11 @@ __all__ = [
     "compiled_inadmissibility",
     "select_engine",
     "build_simulator",
+    "batch_engine",
+    "compiled_fusion_groups",
     "execute",
     "execute_batch",
+    "execute_fused",
     "assert_results_agree",
     "assert_results_identical",
     "draw_packets",

@@ -92,6 +92,7 @@ __all__ = [
     "AdversaryProgram",
     "compile_spec",
     "compile_adversary",
+    "fuse_programs",
     "lowering_reason",
     "adversary_lowering_reason",
     "OFF",
@@ -201,6 +202,28 @@ class CompiledProgram:
     @property
     def n_modes(self) -> int:
         return len(self.mode_names)
+
+    def signature(self) -> tuple:
+        """Everything about the program except the length of its
+        probability rows: two programs with equal signatures whose rows
+        agree on their common prefix are the same machine lowered at two
+        horizons (see :func:`fuse_programs`)."""
+        return (
+            self.kind,
+            self.mode_names,
+            self.start_mode,
+            self.prob_rows.shape[0],
+            self.next_mode.tobytes(),
+            self.ack_payload_guard.tobytes(),
+            self.control_parity_guard.tobytes(),
+            self.requires_listening,
+            self.draws_uniform,
+            self.horizon,
+            self.switch_off_on_ack,
+            self.q,
+            self.listen_window,
+            self.buffer_len,
+        )
 
     def __post_init__(self) -> None:
         self.prob_rows = np.ascontiguousarray(self.prob_rows, dtype=np.float64)
@@ -589,6 +612,28 @@ def lowering_reason(probe: object) -> Optional[str]:
         "(AdaptiveNoK, SUniform, GlobalClockUFR, CdAimd, probability "
         "schedules)"
     )
+
+
+def fuse_programs(programs: list[CompiledProgram]) -> Optional[CompiledProgram]:
+    """One program that serves every run of ``programs``, or None.
+
+    The stepper only reads a probability row at counters below the run's
+    horizon, so a machine lowered at a longer horizon serves every run of
+    the same machine lowered at a shorter one.  Fusable means equal
+    :meth:`~CompiledProgram.signature` and rows that agree on their
+    common prefix; the result is the program with the longest rows.
+    """
+    longest = max(programs, key=lambda p: p.prob_rows.shape[1])
+    signature = longest.signature()
+    for program in programs:
+        if program is longest:
+            continue
+        width = program.prob_rows.shape[1]
+        if program.signature() != signature or not np.array_equal(
+            program.prob_rows, longest.prob_rows[:, :width]
+        ):
+            return None
+    return longest
 
 
 def compile_spec(spec: RunSpec, horizon: Optional[int] = None) -> CompiledProgram:

@@ -72,6 +72,11 @@ Marco–Kowalski–Stachowiak): an oblivious wake schedule plus a non-adaptive
 transmission schedule is a product distribution the thinning sampler can
 draw in one shot, while anything that *reacts* needs the round loop.
 
+:func:`execute_fused` runs a list of ``(spec, seed)`` pairs through the
+fused kernels: the schedule kernel per spec, the compiled stepper per
+:func:`compiled_fusion_groups` group (many specs, one call);
+:func:`execute_batch` is its one-spec case.
+
 The process-wide default engine (:func:`use_engine` /
 :func:`set_default_engine`, wired to the CLI's ``--engine`` flag) lets a
 whole experiment run under ``cross-check`` without touching any driver.
@@ -88,7 +93,7 @@ import numpy as np
 from repro.adversary.base import AdaptiveAdversary, WakeSchedule
 from repro.baselines.cd_adaptive import CdAimdProtocol
 from repro.channel.batched import run_batch
-from repro.channel.compiled import CompiledSimulator, run_compiled_batch
+from repro.channel.compiled import CompiledSimulator, run_compiled_runs
 from repro.channel.jamming import ScheduledJammer
 from repro.channel.feedback import FeedbackModel
 from repro.channel.results import RunResult
@@ -97,7 +102,13 @@ from repro.channel.traffic import QueueSimulator, traffic_reduction
 from repro.channel.validate import validate_run
 from repro.core.spec import RunSpec
 from repro.engine.cache import probability_table
-from repro.engine.compile import adversary_lowering_reason, lowering_reason
+from repro.engine.compile import (
+    CompiledProgram,
+    adversary_lowering_reason,
+    compile_spec,
+    fuse_programs,
+    lowering_reason,
+)
 from repro.telemetry import registry as telemetry
 
 __all__ = [
@@ -110,6 +121,9 @@ __all__ = [
     "build_simulator",
     "execute",
     "execute_batch",
+    "execute_fused",
+    "batch_engine",
+    "compiled_fusion_groups",
     "assert_results_agree",
     "assert_results_identical",
     "set_default_engine",
@@ -246,37 +260,49 @@ def compiled_inadmissibility(spec: RunSpec) -> Optional[str]:
     instance via :attr:`RunSpec.protocol_probe` — with the one coupling
     rule that ``CdAimdProtocol`` also *requires* CD feedback.
     """
+    gap = _compiled_gap(spec)
+    return None if gap is None else gap[1]
+
+
+def _compiled_gap(spec: RunSpec) -> Optional[tuple[str, str]]:
+    """``(reason id, reason)`` for :func:`compiled_inadmissibility`.
+
+    The id names the capability gap in the ``engine.fallback.<id>``
+    counter; the reason is the sentence errors and docs quote.
+    """
     if spec.is_traffic_run:
         if spec.queue_discipline != "free":
-            return _FIFO_REASON
+            return "fifo", _FIFO_REASON
         # Free-discipline traffic is exactly its packet-level reduction.
-        return compiled_inadmissibility(traffic_reduction(spec))
+        return _compiled_gap(traffic_reduction(spec))
     if spec.faults is not None:
-        return _FAULT_COMPILED_REASON
+        return "fault", _FAULT_COMPILED_REASON
     if not isinstance(spec.adversary, WakeSchedule):
         reason = adversary_lowering_reason(spec.adversary)
         if reason is not None:
-            return reason
+            return "adversary", reason
     if spec.jammer is not None:
-        return _JAMMER_REASON
+        return "jammer", _JAMMER_REASON
     if spec.record_trace:
-        return _COMPILED_TRACE_REASON
+        return "trace", _COMPILED_TRACE_REASON
     if spec.feedback not in (
         FeedbackModel.ACK_ONLY,
         FeedbackModel.COLLISION_DETECTION,
     ):
-        return _COMPILED_FEEDBACK_REASON.format(feedback=spec.feedback.value)
+        return "feedback", _COMPILED_FEEDBACK_REASON.format(
+            feedback=spec.feedback.value
+        )
     if spec.is_schedule_run:
         return None
     probe = spec.protocol_probe
     reason = lowering_reason(probe)
     if reason is not None:
-        return reason
+        return "protocol", reason
     if (
         type(probe) is CdAimdProtocol
         and spec.feedback is not FeedbackModel.COLLISION_DETECTION
     ):
-        return _CD_AIMD_ACK_REASON
+        return "cdaimd", _CD_AIMD_ACK_REASON
     return None
 
 
@@ -384,6 +410,8 @@ def execute(spec: RunSpec, engine: Optional[str] = None) -> RunResult:
             return _cross_check(spec)
     if engine == "auto":
         engine = select_engine(spec)
+        if engine == "object":
+            _count_fallback(spec, 1)
     elif engine == "vectorized":
         _require_vectorized(spec)
     if engine == "vectorized":
@@ -405,14 +433,25 @@ def execute(spec: RunSpec, engine: Optional[str] = None) -> RunResult:
         return simulator.run()
 
 
-def _count_compiled_capabilities(spec: RunSpec) -> None:
+def _count_compiled_capabilities(spec: RunSpec, runs: int = 1) -> None:
     """Sub-counters under ``engine.select``: which widened capability a
     compiled selection exercised (``repro stats`` renders them alongside
     the per-engine selection counts)."""
     if isinstance(spec.adversary, AdaptiveAdversary):
-        telemetry.count("engine.select.compiled.adaptive")
+        telemetry.count("engine.select.compiled.adaptive", runs)
     if spec.feedback is FeedbackModel.COLLISION_DETECTION:
-        telemetry.count("engine.select.compiled.cd")
+        telemetry.count("engine.select.compiled.cd", runs)
+
+
+def _count_fallback(spec: RunSpec, runs: int) -> None:
+    """``engine.fallback.<reason id>``: why ``runs`` runs of ``spec`` that
+    ``auto`` dispatch sent to the object engine could not run compiled
+    (the wider of the two fast engines)."""
+    if not telemetry.enabled():
+        return
+    gap = _compiled_gap(spec)
+    if gap is not None:
+        telemetry.count(f"engine.fallback.{gap[0]}", runs)
 
 
 def execute_batch(
@@ -420,58 +459,153 @@ def execute_batch(
 ) -> list[RunResult]:
     """Run ``spec`` once per seed, fusing admissible specs into one batch.
 
-    Byte-identical to ``[execute(spec.with_seed(s), engine) for s in
-    seeds]`` — the schedule kernel (:func:`repro.channel.batched.run_batch`)
-    *is* the vectorised engine, the compiled stepper's fused batch
-    (:func:`repro.channel.compiled.run_compiled_batch`) is admissible
-    exactly where its single-run engine is, and everything else falls
-    back to per-run execution transparently:
-
-    * ``"auto"`` (or None, with an ``auto`` default): vectorised-admissible
-      specs run through the batched kernel, compiled-admissible ones
-      through the compiled stepper's fused batch; the rest loop over
-      per-run object-engine executions;
-    * ``"vectorized"`` / ``"compiled"``: the matching fused kernel, raising
-      :class:`EngineSelectionError` on inadmissible specs like ``execute``;
-    * ``"object"`` / ``"cross-check"``: always the per-run loop (the object
-      engine has no batch form; cross-check shadows each run).
-
-    Both fused kernels stream their repetitions through memory-bounded
-    tiles governed by the process-wide tiling defaults (CLI
-    ``--memory-budget`` / ``--tile-reps`` / ``--tile-rounds``; see
-    :mod:`repro.engine.plan`) — tiling never changes result bytes.
+    The one-spec case of :func:`execute_fused`: byte-identical to
+    ``[execute(spec.with_seed(s), engine) for s in seeds]``.
     """
-    seed_list = [int(s) for s in seeds]
+    return execute_fused([(spec, int(s)) for s in seeds], engine)
+
+
+def batch_engine(spec: RunSpec, engine: Optional[str] = None) -> Optional[str]:
+    """The fused kernel :func:`execute_fused` runs ``spec`` on under
+    ``engine`` (None = the process default): ``"vectorized"``,
+    ``"compiled"``, or None when its runs execute one by one.
+
+    Raises :class:`EngineSelectionError` when a forced fast engine cannot
+    express the spec, like :func:`execute`.
+    """
     if engine is None:
         engine = _default_engine
     if engine in ("object", "cross-check"):
-        return [execute(spec.with_seed(s), engine) for s in seed_list]
+        return None
     if engine not in ("auto", "vectorized", "compiled"):
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
-    # Admissible traffic specs fuse through their packet-level reduction;
-    # fifo traffic has none and falls back to per-run execution below.
     vec_reason = vectorized_inadmissibility(spec)
     if engine in ("auto", "vectorized") and vec_reason is None:
-        telemetry.count("engine.batch_fused_runs", len(seed_list))
-        if spec.faults is not None:
-            telemetry.count("engine.select.vectorized.fault", len(seed_list))
-        return run_batch(_reduced(spec), seeds=seed_list)
+        return "vectorized"
     if engine == "vectorized":
         raise EngineSelectionError(
             f"spec is not vectorised-admissible: {vec_reason}"
         )
     comp_reason = compiled_inadmissibility(spec)
     if comp_reason is None:
-        telemetry.count("engine.batch_fused_runs", len(seed_list))
-        base = _reduced(spec)
-        _count_compiled_capabilities(base)
-        return run_compiled_batch(base, seeds=seed_list)
+        return "compiled"
     if engine == "compiled":
         raise EngineSelectionError(
             f"spec is not compiled-admissible: {comp_reason}"
         )
-    telemetry.count("engine.batch_fallback_runs", len(seed_list))
-    return [execute(spec.with_seed(s), "object") for s in seed_list]
+    return None
+
+
+def compiled_fusion_groups(
+    specs: Sequence[RunSpec],
+) -> list[tuple[list[int], CompiledProgram]]:
+    """Partition compiled-admissible ``specs`` into groups whose runs one
+    compiled stepper call can carry, each with the program it runs.
+
+    The fusion key is what the stepper holds common to a call: the
+    lowered program (:func:`repro.engine.compile.fuse_programs` — equal
+    tables up to the horizon), the feedback model, the stop condition and
+    ``jam_rounds``.  Labels, factory identity, ``k``, horizon and the wake
+    source (oblivious draw or lowerable adaptive adversary) are free.
+    Groups keep the order of their first spec; so do specs within a group.
+    """
+    # Each group holds its member indices and the program serving them
+    # all; every member's rows are a prefix of that program's, so a new
+    # program need only be checked against it.
+    buckets: dict[tuple, list[list]] = {}
+    groups: list[list] = []
+    for index, spec in enumerate(specs):
+        base = _reduced(spec)
+        program = compile_spec(base)
+        key = (program.signature(), base.feedback, base.stop, base.jam_rounds)
+        for group in buckets.setdefault(key, []):
+            fused = fuse_programs([group[1], program])
+            if fused is not None:
+                group[0].append(index)
+                group[1] = fused
+                break
+        else:
+            group = [[index], program]
+            buckets[key].append(group)
+            groups.append(group)
+    return [(indices, program) for indices, program in groups]
+
+
+def execute_fused(
+    runs: Sequence[tuple[RunSpec, int]], engine: Optional[str] = None
+) -> list[RunResult]:
+    """Run every ``(spec, seed)`` pair, fusing what the kernels can fuse.
+
+    Byte-identical to ``[execute(spec.with_seed(seed), engine) for spec,
+    seed in runs]``.  Runs of one spec object share one admissibility
+    check; then, per :func:`batch_engine`:
+
+    * ``"vectorized"``: the schedule kernel
+      (:func:`repro.channel.batched.run_batch`) per spec — it *is* the
+      vectorised engine;
+    * ``"compiled"``: runs of every spec in one
+      :func:`compiled_fusion_groups` group share one compiled stepper call
+      (:func:`repro.channel.compiled.run_compiled_runs`), however many
+      specs, ``k`` s and horizons they span;
+    * None (``"object"``/``"cross-check"``, or an ``auto`` spec neither
+      fast engine admits): per-run :func:`execute`.
+
+    Forced ``"vectorized"`` / ``"compiled"`` raise
+    :class:`EngineSelectionError` on inadmissible specs like ``execute``.
+    Both fused kernels stream repetitions through memory-bounded tiles
+    governed by the process-wide tiling defaults (CLI ``--memory-budget``
+    / ``--tile-reps`` / ``--tile-rounds``; see :mod:`repro.engine.plan`)
+    — tiling never changes result bytes.  Every run counts once under
+    ``engine.select.<engine>``; ``auto`` runs the object engine takes
+    also count under ``engine.fallback.<reason id>``.
+    """
+    if engine is None:
+        engine = _default_engine
+    results: list[Optional[RunResult]] = [None] * len(runs)
+    by_spec: dict[int, list[int]] = {}
+    for position, (spec, _) in enumerate(runs):
+        by_spec.setdefault(id(spec), []).append(position)
+    compiled: list[tuple[RunSpec, list[int]]] = []
+    for positions in by_spec.values():
+        spec = runs[positions[0]][0]
+        seeds = [int(runs[i][1]) for i in positions]
+        path = batch_engine(spec, engine)
+        if path == "vectorized":
+            telemetry.count("engine.batch_fused_runs", len(seeds))
+            telemetry.count("engine.select.vectorized", len(seeds))
+            if spec.faults is not None:
+                telemetry.count("engine.select.vectorized.fault", len(seeds))
+            done = run_batch(_reduced(spec), seeds=seeds)
+        elif path == "compiled":
+            compiled.append((spec, positions))
+            continue
+        else:
+            if engine == "auto":
+                telemetry.count("engine.batch_fallback_runs", len(seeds))
+                _count_fallback(spec, len(seeds))
+                run_engine = "object"
+            else:
+                run_engine = engine
+            done = [execute(spec.with_seed(s), run_engine) for s in seeds]
+        for position, result in zip(positions, done):
+            results[position] = result
+    groups = compiled_fusion_groups([spec for spec, _ in compiled])
+    for members, program in groups:
+        fused: list[tuple[RunSpec, int]] = []
+        positions: list[int] = []
+        for member in members:
+            spec, member_positions = compiled[member]
+            base = _reduced(spec)
+            _count_compiled_capabilities(base, len(member_positions))
+            fused.extend((base, int(runs[i][1])) for i in member_positions)
+            positions.extend(member_positions)
+        telemetry.count("engine.batch_fused_runs", len(fused))
+        telemetry.count("engine.select.compiled", len(fused))
+        for position, result in zip(
+            positions, run_compiled_runs(fused, program)
+        ):
+            results[position] = result
+    return results  # type: ignore[return-value]
 
 
 def _is_deterministic(spec: RunSpec) -> bool:

@@ -34,12 +34,17 @@ What the runner does for every cell
 * **Tables** — schedule specs' probability tables are warmed in this
   process (the :mod:`repro.engine.cache` LRU) before any fork, so pool
   workers inherit them read-only instead of recomputing per repetition.
-* **Batching and tiles** — consecutive runs of a fusable cell (vectorised-
-  or compiled-admissible) are chunked into :func:`repro.engine.execute_batch`
-  tasks of at most ``--batch-size`` runs, capped further by the active
-  rep-tile cap (:func:`repro.engine.plan.tile_rep_cap`), so a tile is the
-  fork-pool scheduling unit.  Results are byte-identical for every batch
-  size and tiling.
+* **Batching and tiles** — pending runs are chunked into
+  :func:`repro.engine.execute_fused` tasks of at most ``--batch-size``
+  runs, capped further by the rep-tile cap of the chunk's costliest spec
+  (:func:`repro.engine.plan.tile_rep_cap`), so a tile is the fork-pool
+  scheduling unit.  A vectorised-admissible cell's chunks hold its own
+  runs; compiled-admissible cells are grouped across the whole grid by
+  their fusion key (:func:`repro.engine.dispatch.compiled_fusion_groups`:
+  the lowered program up to the horizon, feedback, stop condition and
+  ``jam_rounds``), and a group's chunks hold runs of all its cells, so
+  the grid steps its rounds once.  Results are byte-identical for every
+  batch size, grouping and tiling.
 * **Parallelism and failures** — the whole grid is one flat task bag for
   :class:`~repro.experiments.executor.RunExecutor`, which takes its
   worker count and failure policy from the process defaults (``--jobs``,
@@ -65,10 +70,11 @@ from repro.channel.results import RunResult
 from repro.core.spec import RunSpec
 from repro.engine.cache import probability_table
 from repro.engine.dispatch import (
-    compiled_inadmissibility,
+    EngineSelectionError,
+    batch_engine,
+    compiled_fusion_groups,
     execute,
-    execute_batch,
-    vectorized_inadmissibility,
+    execute_fused,
 )
 from repro.engine.plan import tile_rep_cap
 from repro.experiments.checkpoint import current_checkpoint
@@ -177,15 +183,15 @@ def _apply_default_faults(base: RunSpec) -> RunSpec:
     return base.replace(faults=default)
 
 
-def _batch_fusable(spec: RunSpec) -> bool:
-    """True when ``execute_batch`` can fuse repetitions of ``spec`` into a
-    single kernel call — vectorised-admissible schedule runs or
-    compiled-admissible protocol runs.  Other specs skip chunking so each
-    run stays an independently retryable task."""
-    return (
-        vectorized_inadmissibility(spec) is None
-        or compiled_inadmissibility(spec) is None
-    )
+def _batch_path(spec: RunSpec) -> Optional[str]:
+    """The fused kernel ``execute_fused`` would run ``spec`` on under the
+    process-default engine, or None for one task per run.  A forced
+    engine that cannot express the spec is left to raise from the run
+    itself, as an unfused run would."""
+    try:
+        return batch_engine(spec)
+    except EngineSelectionError:
+        return None
 
 
 def _run_task(spec: RunSpec) -> Callable[[], RunResult]:
@@ -194,9 +200,27 @@ def _run_task(spec: RunSpec) -> Callable[[], RunResult]:
     return lambda: execute(spec)
 
 
-def _batch_task(spec: RunSpec, seeds: list[int]) -> Callable[[], list[RunResult]]:
-    """One chunk of pre-seeded runs, fused at execution time if admissible."""
-    return lambda: execute_batch(spec, seeds)
+def _fused_task(
+    runs: list[tuple[RunSpec, int]]
+) -> Callable[[], list[RunResult]]:
+    """One chunk of seeded runs, fused at execution time."""
+    return lambda: execute_fused(runs)
+
+
+def _chunks(runs: list, cap: int) -> list[list]:
+    """``runs`` in consecutive slices of at most ``cap``."""
+    return [runs[start : start + cap] for start in range(0, len(runs), cap)]
+
+
+def _tile_cap(size: int, specs: Iterable[RunSpec]) -> int:
+    """``min(batch size, rep-tile cap)`` over ``specs``: a chunk is one
+    tile of its costliest spec."""
+    cap = size
+    for spec in specs:
+        limit = tile_rep_cap(spec)
+        if limit is not None:
+            cap = min(cap, limit)
+    return cap
 
 
 def run_grid(cells: Iterable[Cell]) -> list[CellRuns]:
@@ -204,11 +228,15 @@ def run_grid(cells: Iterable[Cell]) -> list[CellRuns]:
     :class:`CellRuns` per cell, in grid order.
 
     Runs already in the active checkpoint journal are folded from it, not
-    re-executed.  The pending runs of a fusable cell are chunked into
-    batches of up to ``min(batch size, rep-tile cap)`` (chunks never span
-    cells); everything else is one task per run.  Fresh results are
-    journaled the moment the executor collects them, so an interruption
-    loses at most the in-flight runs.
+    re-executed.  Pending runs are chunked into fused tasks of up to
+    ``min(batch size, rep-tile cap)`` runs: a vectorised cell's runs
+    among themselves, compiled cells' runs across every cell of their
+    fusion group (:func:`repro.engine.dispatch.compiled_fusion_groups`),
+    so a grid steps its rounds once instead of once per cell.  Everything
+    else is one task per run, as is every run under batch size 1.  Fresh
+    results are journaled per ``(fingerprint, seed)`` the moment the
+    executor collects them, so an interruption loses at most the
+    in-flight runs.
     """
     cells = list(cells)
     journal = current_checkpoint()
@@ -225,51 +253,71 @@ def run_grid(cells: Iterable[Cell]) -> list[CellRuns]:
                  [0] * len(cell.seeds))
         for base, cell in zip(bases, cells)
     ]
-    size = resolve_batch_size(None)
-    # (cell index, positions within the cell) per executor task.
-    chunks: list[tuple[int, list[int]]] = []
-    tasks: list[Callable[[], object]] = []
-    for c, (base, cell) in enumerate(zip(bases, cells)):
-        pending = []
+    pending: list[list[tuple[int, int]]] = []
+    for c, cell in enumerate(cells):
+        todo = []
         for i, seed in enumerate(cell.seeds):
             cached = (
                 journal.get(fingerprints[c], seed)
                 if fingerprints[c] is not None else None
             )
             if cached is None:
-                pending.append(i)
+                todo.append((c, i))
             else:
                 out[c].results[i], out[c].seconds[i] = cached
-        cap = 1
-        # Probe every cell, single runs included: a factory may count its
-        # calls (tdma_factory hands out slots in call order), so skipping
-        # the admissibility probe would shift that cell's results.
-        if _batch_fusable(base) and size > 1 and len(pending) > 1:
-            limit = tile_rep_cap(base)
-            cap = size if limit is None else min(size, limit)
-        for start in range(0, len(pending), cap):
-            group = pending[start : start + cap]
-            chunks.append((c, group))
-            if len(group) == 1:
-                tasks.append(_run_task(base.with_seed(cell.seeds[group[0]])))
-            else:
-                tasks.append(_batch_task(base, [cell.seeds[i] for i in group]))
+        pending.append(todo)
+
+    size = resolve_batch_size(None)
+    paths = [
+        _batch_path(base) if size > 1 and todo else None
+        for base, todo in zip(bases, pending)
+    ]
+    compiled = [c for c, path in enumerate(paths) if path == "compiled"]
+    group_of: dict[int, list[int]] = {}
+    for members, _ in compiled_fusion_groups([bases[c] for c in compiled]):
+        group = [compiled[m] for m in members]
+        for c in group:
+            group_of[c] = group
+    # Chunks of (cell, position) runs, one executor task each; a fusion
+    # group's chunks go where its first cell is.
+    chunks: list[list[tuple[int, int]]] = []
+    for c in range(len(cells)):
+        if c in group_of:
+            group = group_of[c]
+            if group[0] != c:
+                continue
+            runs = [run for member in group for run in pending[member]]
+            cap = _tile_cap(size, (bases[member] for member in group))
+        else:
+            runs = pending[c]
+            cap = _tile_cap(size, [bases[c]]) if paths[c] else 1
+        chunks.extend(_chunks(runs, cap))
+
+    tasks: list[Callable[[], object]] = []
+    for chunk in chunks:
+        runs = [(bases[c], cells[c].seeds[i]) for c, i in chunk]
+        if len(runs) == 1:
+            spec, seed = runs[0]
+            tasks.append(_run_task(spec.with_seed(seed)))
+        else:
+            tasks.append(_fused_task(runs))
 
     def record(j: int, result: object, secs: float) -> None:
-        c, group = chunks[j]
-        if fingerprints[c] is None:
-            return
-        runs = [result] if len(group) == 1 else result
-        for i, run in zip(group, runs):
-            journal.record(fingerprints[c], cells[c].seeds[i], run, secs / len(group))
+        chunk = chunks[j]
+        runs = [result] if len(chunk) == 1 else result
+        for (c, i), run in zip(chunk, runs):
+            if fingerprints[c] is not None:
+                journal.record(
+                    fingerprints[c], cells[c].seeds[i], run, secs / len(chunk)
+                )
 
     executor = RunExecutor()
     fresh = executor.map(tasks, on_result=record if journal is not None else None)
-    for j, (c, group) in enumerate(chunks):
-        runs = [fresh[j]] if len(group) == 1 else fresh[j]
-        for i, run in zip(group, runs):
+    for j, chunk in enumerate(chunks):
+        runs = [fresh[j]] if len(chunk) == 1 else fresh[j]
+        for (c, i), run in zip(chunk, runs):
             out[c].results[i] = run
-            out[c].seconds[i] = executor.last_task_seconds[j] / len(group)
+            out[c].seconds[i] = executor.last_task_seconds[j] / len(chunk)
             out[c].retries[i] = executor.last_retry_counts[j]
     return out
 

@@ -19,8 +19,9 @@ from typing import Optional
 
 from repro.experiments.harness import ExperimentReport
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.telemetry import registry as telemetry
 
-__all__ = ["SCALES", "suite_overrides", "run_suite"]
+__all__ = ["SCALES", "SuiteFailed", "suite_overrides", "run_suite"]
 
 #: Per-experiment keyword overrides, by scale.  Absent ids run on defaults.
 SCALES: dict[str, dict[str, dict[str, object]]] = {
@@ -91,6 +92,24 @@ SCALES: dict[str, dict[str, dict[str, object]]] = {
 }
 
 
+class SuiteFailed(RuntimeError):
+    """Some experiments of a suite raised; every other one still ran.
+
+    ``failures`` maps each failing id to ``"<ExceptionType>: <message>"``
+    and ``reports`` holds the reports of the experiments that finished.
+    """
+
+    def __init__(
+        self, failures: dict[str, str], reports: dict[str, ExperimentReport]
+    ):
+        super().__init__(
+            f"{len(failures)} experiment(s) failed: "
+            + "; ".join(f"{eid}: {why}" for eid, why in failures.items())
+        )
+        self.failures = failures
+        self.reports = reports
+
+
 def suite_overrides(scale: str) -> dict[str, dict[str, object]]:
     """The per-experiment overrides of a named scale."""
     if scale not in SCALES:
@@ -144,6 +163,10 @@ def run_suite(
     :class:`~repro.faults.FaultModel` applied to every harness-built spec
     in the suite, degrading the whole sweep's channel at once (the
     robustness experiment's own per-cell fault models are unaffected).
+
+    An experiment that raises does not stop the suite: its exception type
+    and message are recorded in ``SUMMARY.md``, the remaining experiments
+    run, and :class:`SuiteFailed` is raised at the end.
     """
     overrides = suite_overrides(scale)
     wanted = set(only) if only is not None else set(EXPERIMENTS)
@@ -156,24 +179,34 @@ def run_suite(
         out_path.mkdir(parents=True, exist_ok=True)
 
     reports: dict[str, ExperimentReport] = {}
+    failures: dict[str, str] = {}
     for experiment_id in sorted(wanted):
         progress(f"[suite:{scale}] running {experiment_id} ...")
-        report = run_experiment(
-            experiment_id,
-            jobs=jobs,
-            resume_dir=None if resume_dir is None else str(resume_dir),
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-            engine=engine,
-            batch_size=batch_size,
-            memory_budget=memory_budget,
-            tile_reps=tile_reps,
-            tile_rounds=tile_rounds,
-            noise=noise,
-            ack_loss=ack_loss,
-            energy_budget=energy_budget,
-            **overrides.get(experiment_id, {}),
-        )
+        try:
+            report = run_experiment(
+                experiment_id,
+                jobs=jobs,
+                resume_dir=None if resume_dir is None else str(resume_dir),
+                task_timeout=task_timeout,
+                max_retries=max_retries,
+                engine=engine,
+                batch_size=batch_size,
+                memory_budget=memory_budget,
+                tile_reps=tile_reps,
+                tile_rounds=tile_rounds,
+                noise=noise,
+                ack_loss=ack_loss,
+                energy_budget=energy_budget,
+                **overrides.get(experiment_id, {}),
+            )
+        except Exception as error:
+            failures[experiment_id] = f"{type(error).__name__}: {error}"
+            telemetry.count("experiment.failed")
+            progress(
+                f"[suite:{scale}]   {experiment_id} FAILED: "
+                f"{failures[experiment_id]}"
+            )
+            continue
         reports[experiment_id] = report
         wall = report.timings.get("wall_s")
         if wall is not None:
@@ -203,7 +236,9 @@ def run_suite(
         from repro.analysis.reporting import suite_markdown
 
         (out_path / "SUMMARY.md").write_text(
-            suite_markdown(reports, title=f"Suite report ({scale})")
+            suite_markdown(
+                reports, title=f"Suite report ({scale})", failures=failures
+            )
         )
     totals = {
         label: sum(
@@ -216,10 +251,13 @@ def run_suite(
             ("task_timeouts", "timeouts"),
         )
     }
+    totals["failed"] = len(failures)
     health = ""
     if any(totals.values()):
         health = " (" + ", ".join(
             f"{value} {label}" for label, value in totals.items() if value
         ) + ")"
     progress(f"[suite:{scale}] done: {len(reports)} experiments{health}")
+    if failures:
+        raise SuiteFailed(failures, reports)
     return reports

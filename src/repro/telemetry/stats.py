@@ -5,6 +5,8 @@ Reads the two artefacts a ``--telemetry`` run writes (see
 table helper:
 
 * a metrics summary — every counter and gauge from ``metrics.prom``;
+* the engine mix — runs per engine (``engine.select.<engine>``) and per
+  object-engine fallback reason (``engine.fallback.<reason id>``);
 * histogram summaries (count / mean / min / max);
 * the top spans by total time, aggregated from ``telemetry.jsonl`` —
   the per-event log, so the table reflects every recorded span even
@@ -132,6 +134,32 @@ def _ms(seconds: float) -> float:
     return seconds * 1e3
 
 
+#: Engines counted under ``engine.select.<engine>`` once per run.
+_ENGINES = ("vectorized", "compiled", "object")
+
+
+def _selection_rows(counters: dict[str, float]) -> list[list[object]]:
+    """Runs per engine, then per ``engine.fallback.<reason id>``: why
+    ``auto`` dispatch sent runs to the object engine."""
+    runs = {
+        engine: counters.get(f"repro_engine_select_{engine}", 0.0)
+        for engine in _ENGINES
+    }
+    total = sum(runs.values())
+    if not total:
+        return []
+    rows: list[list[object]] = [
+        [engine, value, value / total] for engine, value in runs.items()
+    ]
+    prefix = "repro_engine_fallback_"
+    rows += [
+        [f"fallback: {name.removeprefix(prefix)}", value, value / total]
+        for name, value in sorted(counters.items())
+        if name.startswith(prefix)
+    ]
+    return rows
+
+
 def render_stats(directory: str | Path, *, top: int = 15) -> str:
     """The full ``repro stats`` report for one telemetry directory."""
     directory = Path(directory)
@@ -160,6 +188,13 @@ def render_stats(directory: str | Path, *, top: int = 15) -> str:
     if rows:
         sections.append(
             "## Metrics\n" + render_table(["metric", "type", "value"], rows)
+        )
+
+    selection = _selection_rows(metrics["counters"])
+    if selection:
+        sections.append(
+            "## Engine selection (runs)\n"
+            + render_table(["engine / fallback reason", "runs", "share"], selection)
         )
 
     hist_rows = []

@@ -147,6 +147,25 @@ class TestTDMA:
         ).run()
         assert result.success_count == 2
 
+    def test_rerun_is_independent_of_probes(self):
+        # The slot comes from the station id, not from a counter the
+        # factory shares with every probe and run of the spec.
+        from repro.adversary.oblivious import UniformRandomSchedule
+        from repro.core.spec import RunSpec
+        from repro.engine import compiled_inadmissibility, execute
+
+        spec = RunSpec(
+            k=16, protocol=tdma_factory(16),
+            adversary=UniformRandomSchedule(span=lambda kk: kk // 2),
+            max_rounds=16 * 16 + 64, seed=5,
+        )
+        first = execute(spec)
+        fingerprint = spec.fingerprint()
+        compiled_inadmissibility(spec)
+        assert execute(spec) == first
+        assert spec.fingerprint() == fingerprint
+        assert [r.station_id for r in first.records] == list(range(16))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AlignedTDMA(slot=5, frame=4)

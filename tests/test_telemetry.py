@@ -247,6 +247,59 @@ class TestCompiledCapabilityCounters:
         assert "engine.select.compiled.cd" in text
 
 
+class TestDispatchSelectionCounters:
+    """``engine.select.<engine>`` counts every run once, fused or not, and
+    ``engine.fallback.<reason id>`` says why ``auto`` took the object
+    engine."""
+
+    def test_batch_runs_count_once_per_run_on_every_path(self):
+        from repro.adversary.adaptive import BurstOnQuietAdversary
+        from repro.baselines.backoff import BinaryExponentialBackoff
+        from repro.core.protocols import AdaptiveNoK
+        from repro.engine.dispatch import execute_batch, execute_fused
+
+        from tests.conftest import make_factory
+
+        adaptive = RunSpec(
+            k=4, protocol=make_factory(AdaptiveNoK),
+            adversary=BurstOnQuietAdversary(burst=2, quiet=3), max_rounds=300,
+        )
+        backoff = adaptive.replace(
+            protocol=make_factory(BinaryExponentialBackoff)
+        )
+        telemetry.enable()
+        execute_batch(_spec(seed=0), [1, 2, 3])
+        execute_fused([(adaptive, 1), (adaptive.replace(k=6), 2)])
+        execute_batch(backoff, [4, 5])
+        counters = telemetry.snapshot()["counters"]
+        assert counters["engine.select.vectorized"] == 3
+        assert counters["engine.select.compiled"] == 2
+        assert counters["engine.select.compiled.adaptive"] == 2
+        assert counters["engine.select.object"] == 2
+        assert counters["engine.fallback.protocol"] == 2
+        assert counters["engine.batch_fused_runs"] == 5
+        assert counters["engine.batch_fallback_runs"] == 2
+
+    def test_single_run_fallback_names_its_reason(self):
+        telemetry.enable()
+        execute(_spec(seed=3).replace(record_trace=True))
+        execute(_spec(seed=3).replace(record_trace=True), engine="object")
+        counters = telemetry.snapshot()["counters"]
+        assert counters["engine.select.object"] == 2
+        # Only the auto selection is a fallback; a forced engine is not.
+        assert counters["engine.fallback.trace"] == 1
+
+    def test_selection_table_renders_in_stats(self, tmp_path):
+        telemetry.enable()
+        execute(_spec(seed=4))
+        execute(_spec(seed=4).replace(record_trace=True))
+        tel_export.export_to_dir(tmp_path)
+        text = render_stats(tmp_path)
+        section = text.split("## Engine selection (runs)")[1]
+        assert "vectorized" in section
+        assert "fallback: trace" in section
+
+
 class TestExport:
     def test_export_round_trip(self, tmp_path):
         telemetry.enable()
@@ -390,3 +443,56 @@ class TestSuiteSummary:
         lines: list[str] = []
         suite_mod.run_suite("quick", only=["fig1_clocks"], progress=lines.append)
         assert not any("failures" in line for line in lines)
+
+
+class TestFailingExperiment:
+    """A driver that raises is recorded, the suite goes on, telemetry is
+    still exported and the CLI exits non-zero."""
+
+    @staticmethod
+    def _break_fig1(monkeypatch):
+        from repro.experiments.registry import EXPERIMENTS
+
+        def broken(**kwargs):
+            raise RuntimeError("driver exploded")
+
+        monkeypatch.setitem(EXPERIMENTS, "fig1_clocks", broken)
+
+    def test_suite_records_failure_and_continues(self, monkeypatch, tmp_path):
+        from repro.experiments.suite import SuiteFailed, run_suite
+
+        self._break_fig1(monkeypatch)
+        lines: list[str] = []
+        with pytest.raises(SuiteFailed) as caught:
+            run_suite(
+                "quick", out_dir=tmp_path,
+                only=["fig1_clocks", "fig4_sublinear_schedule"],
+                progress=lines.append,
+            )
+        assert caught.value.failures == {
+            "fig1_clocks": "RuntimeError: driver exploded"
+        }
+        assert set(caught.value.reports) == {"fig4_sublinear_schedule"}
+        assert (tmp_path / "fig4_sublinear_schedule.txt").exists()
+        summary = (tmp_path / "SUMMARY.md").read_text()
+        assert "## Failed experiments" in summary
+        assert "`fig1_clocks`: RuntimeError: driver exploded" in summary
+        assert "fig4_sublinear_schedule" in summary
+        assert "1 failed" in lines[-1]
+
+    def test_cli_exits_non_zero_and_exports_telemetry(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        self._break_fig1(monkeypatch)
+        tel_dir = tmp_path / "tel"
+        code = main([
+            "suite", "--scale", "quick",
+            "--only", "fig1_clocks,fig4_sublinear_schedule",
+            "--out", str(tmp_path / "out"), "--telemetry", str(tel_dir),
+        ])
+        assert code == 1
+        assert "driver exploded" in capsys.readouterr().err
+        counters = read_openmetrics(tel_dir / tel_export.OPENMETRICS_NAME)[
+            "counters"
+        ]
+        assert counters["repro_experiment_failed"] == 1
